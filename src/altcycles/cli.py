@@ -17,6 +17,7 @@ from .merge import (
     solve_hamiltonian,
 )
 from .predicates import (
+    TwoPath,
     closed_alternating_witness,
     color_connectivity_witness,
     two_m_violations,
@@ -40,7 +41,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_graph(path: str) -> ColoredMultigraph:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+    except UnicodeDecodeError as exc:
+        print(f"parse error: input is not UTF-8 text ({exc.reason})", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE) from None
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
     return parse_text(text)
 
 
@@ -63,40 +75,38 @@ def export_dot(g: ColoredMultigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _first(violations: list[TwoPath]) -> TwoPath | None:
+    return violations[0] if violations else None
+
+
+def _two_path_witness(w: TwoPath) -> str:
+    return f"witness 2path {w.x1} {w.x2} {w.x3}"
+
+
+# predicate name -> (witness of failure or None, witness line)
+_CHECKS = {
+    "2m-closed": (lambda g: _first(two_m_violations(g)), _two_path_witness),
+    "2nm-closed": (lambda g: _first(two_nm_violations(g)), _two_path_witness),
+    "closed-alternating": (
+        closed_alternating_witness,
+        lambda w: f"witness 3path {w[0]} {w[1]} {w[2]} {w[3]}",
+    ),
+    "color-connected": (
+        color_connectivity_witness,
+        lambda w: f"witness pair {w.x} {w.y}",
+    ),
+}
+
+
 def _cmd_check(args) -> int:
     g = _read_graph(args.file)
-    if args.predicate == "2m-closed":
-        violations = two_m_violations(g)
-        if not violations:
-            print("true")
-            return EXIT_OK
-        w = violations[0]
-        print("false")
-        print(f"witness 2path {w.x1} {w.x2} {w.x3}")
-        return EXIT_FALSE
-    if args.predicate == "2nm-closed":
-        violations = two_nm_violations(g)
-        if not violations:
-            print("true")
-            return EXIT_OK
-        w = violations[0]
-        print("false")
-        print(f"witness 2path {w.x1} {w.x2} {w.x3}")
-        return EXIT_FALSE
-    if args.predicate == "closed-alternating":
-        w = closed_alternating_witness(g)
-        if w is None:
-            print("true")
-            return EXIT_OK
-        print("false")
-        print(f"witness 3path {w[0]} {w[1]} {w[2]} {w[3]}")
-        return EXIT_FALSE
-    w = color_connectivity_witness(g)
+    find_witness, witness_line = _CHECKS[args.predicate]
+    w = find_witness(g)
     if w is None:
         print("true")
         return EXIT_OK
     print("false")
-    print(f"witness pair {w.x} {w.y}")
+    print(witness_line(w))
     return EXIT_FALSE
 
 
@@ -122,9 +132,8 @@ def _cmd_solve(args) -> int:
         )
         return EXIT_NOT_COLOR_CONNECTED
     assert isinstance(result, NotTwoMClosed)
-    w = result.witness
     print("not-2m-closed")
-    print(f"witness 2path {w.x1} {w.x2} {w.x3}")
+    print(_two_path_witness(result.witness))
     return EXIT_NOT_2M_CLOSED
 
 
@@ -184,7 +193,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--predicate",
         required=True,
-        choices=["2m-closed", "2nm-closed", "closed-alternating", "color-connected"],
+        choices=list(_CHECKS),
     )
     p.add_argument("file")
     p.set_defaults(func=_cmd_check)
@@ -228,16 +237,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
-    try:
         return args.func(args)
+    except SystemExit as exc:  # usage errors and unreadable input
+        return exc.code if exc.code is not None else EXIT_USAGE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except generate.ConstructionFailed as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_FALSE

@@ -1,9 +1,10 @@
 """Alternating cycles and cycle factors."""
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .graph import Color, ColoredMultigraph
+from .graph import BLUE, Color, ColoredMultigraph
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,35 @@ class CycleFactor:
 
     def __iter__(self):
         return iter(self.cycles)
+
+
+def decode_cycles(
+    partner: Mapping[Color, Mapping[int, int] | Sequence[int]], n: int
+) -> list[AltCycle]:
+    """Cycles of the factor in which v's blue and red partners are
+    partner[BLUE][v] and partner[RED][v] (dicts or lists indexed by vertex).
+
+    Each cycle starts at its smallest vertex and takes the blue edge first;
+    cycles come in order of their smallest vertex.
+    """
+    seen: set[int] = set()
+    cycles = []
+    for start in range(n):
+        if start in seen:
+            continue
+        verts = [start]
+        cols = []
+        v, color = start, BLUE
+        while True:
+            u = partner[color][v]
+            cols.append(color)
+            seen.add(v)
+            if u == start:
+                break
+            verts.append(u)
+            v, color = u, color.other
+        cycles.append(AltCycle(tuple(verts), tuple(cols)))
+    return cycles
 
 
 def validate_cycle(g: ColoredMultigraph, cycle: AltCycle) -> bool:

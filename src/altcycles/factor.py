@@ -1,18 +1,16 @@
-"""Alternating cycle factors via the split-vertex matching gadget.
+"""Alternating cycle factors as two perfect matchings.
 
-Each vertex v becomes (v, BLUE) and (v, RED); each colored edge joins the
-copies of its color. Perfect matchings of the gadget correspond exactly to
-spanning subgraphs in which every vertex has one blue and one red incident
-edge, i.e. alternating cycle factors.
+A spanning subgraph in which every vertex has exactly one blue and one red
+incident edge is an alternating cycle factor, so a factor is a perfect
+matching of the blue graph together with a perfect matching of the red
+graph (a blue and a red edge on the same pair make a 2-cycle).
 """
 from __future__ import annotations
 
 import networkx as nx
 
-from .cycles import AltCycle, CycleFactor
-from .graph import BLUE, RED, Color, ColoredMultigraph
-
-GadgetNode = tuple[int, Color]
+from .cycles import CycleFactor, decode_cycles
+from .graph import Color, ColoredMultigraph
 
 
 def maximum_matching(
@@ -26,46 +24,18 @@ def maximum_matching(
     return {frozenset(e) for e in matching}
 
 
-def build_gadget(g: ColoredMultigraph) -> tuple[list[GadgetNode], list[tuple[GadgetNode, GadgetNode]]]:
-    nodes: list[GadgetNode] = [(v, c) for v in range(g.n) for c in (BLUE, RED)]
-    edges = [((u, c), (v, c)) for u, v, c in g.edges()]
-    return nodes, edges
-
-
 def find_alternating_cycle_factor(g: ColoredMultigraph) -> CycleFactor | None:
     """Alternating cycle factor of g, or None if none exists."""
-    if g.n == 0:
-        return CycleFactor(())
-    nodes, edges = build_gadget(g)
-    matching = maximum_matching(edges, nodes)
-    if 2 * len(matching) != len(nodes):
-        return None
-    partner: dict[Color, dict[int, int]] = {BLUE: {}, RED: {}}
-    for e in matching:
-        (u, cu), (v, cv) = tuple(e)
-        assert cu == cv
-        partner[cu][u] = v
-        partner[cu][v] = u
-    return CycleFactor(tuple(_decode_cycles(partner, g.n)))
-
-
-def _decode_cycles(partner: dict[Color, dict[int, int]], n: int) -> list[AltCycle]:
-    # start at the smallest unvisited vertex, blue edge first
-    seen: set[int] = set()
-    cycles = []
-    for start in range(n):
-        if start in seen:
-            continue
-        verts = [start]
-        cols = []
-        v, color = start, BLUE
-        while True:
-            u = partner[color][v]
-            cols.append(color)
-            seen.add(v)
-            if u == start:
-                break
-            verts.append(u)
-            v, color = u, color.other
-        cycles.append(AltCycle(tuple(verts), tuple(cols)))
-    return cycles
+    all_edges = g.edges()
+    partner: dict[Color, dict[int, int]] = {}
+    for color in Color:
+        edges = [(u, v) for u, v, c in all_edges if c is color]
+        matching = maximum_matching(edges, range(g.n))
+        if 2 * len(matching) != g.n:
+            return None
+        partner[color] = {}
+        for e in matching:
+            u, v = tuple(e)
+            partner[color][u] = v
+            partner[color][v] = u
+    return CycleFactor(tuple(decode_cycles(partner, g.n)))

@@ -709,7 +709,8 @@ def solve_hamiltonian(
     Pipeline: closure check, cycle factor, then merge until one cycle
     remains; when no pairwise merge applies and dominations are in place,
     either a domination triangle merges three cycles or the acyclic
-    tournament's source certifies non-color-connectivity.
+    tournament's source certifies non-color-connectivity. A final cycle
+    that does not validate or span g raises StructureViolation.
     """
     violations = two_m_violations(g)
     if violations:
@@ -729,7 +730,6 @@ def solve_hamiltonian(
             for j in range(i + 1, len(cycles)):
                 outcome = merge_pair(g, cycles[i], cycles[j], trace)
                 if isinstance(outcome, Merged):
-                    assert validate_cycle(g, outcome.cycle)
                     cycles = [
                         c for k, c in enumerate(cycles) if k not in (i, j)
                     ] + [outcome.cycle]
@@ -748,17 +748,10 @@ def solve_hamiltonian(
                 digraph.arcs[(j, k)],
                 digraph.arcs[(k, i)],
             )
-            try:
-                merged = merge_domination_triangle(
-                    g, cycles[i], cycles[j], cycles[k], colors
-                )
-                _note(trace, f"merge triangle {i} {j} {k}")
-            except InvalidTriangleError:
-                merged = oracle_merge(g, cycles[i], cycles[j])  # pragma: no cover
-                if merged is None:
-                    raise
-                _note(trace, "merge oracle")
-            assert validate_cycle(g, merged)
+            merged = merge_domination_triangle(
+                g, cycles[i], cycles[j], cycles[k], colors
+            )
+            _note(trace, f"merge triangle {i} {j} {k}")
             cycles = [c for t, c in enumerate(cycles) if t not in (i, j, k)] + [merged]
             continue
         src, dom_color = digraph.source()
@@ -774,7 +767,10 @@ def solve_hamiltonian(
                 domination_color=dom_color,
             )
         )
-    return HamiltonianCycle(cycles[0])
+    cycle = cycles[0]
+    if not validate_cycle(g, cycle) or sorted(cycle.vertices) != list(range(g.n)):
+        raise StructureViolation("merged cycle is not a Hamiltonian cycle of g", (cycle,))
+    return HamiltonianCycle(cycle)
 
 
 def _disconnected_certificate(

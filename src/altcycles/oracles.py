@@ -1,7 +1,12 @@
 """Exhaustive ground-truth solvers for desk-scale instances (n <= ~12)."""
 from __future__ import annotations
 
-from .cycles import AltCycle, CycleFactor, cycle_from_vertex_sequence
+from .cycles import (
+    AltCycle,
+    CycleFactor,
+    cycle_from_vertex_sequence,
+    decode_cycles,
+)
 from .graph import BLUE, RED, Color, ColoredMultigraph, induced_subgraph
 from .predicates import AltPath
 
@@ -51,11 +56,10 @@ def oracle_factor(
     """Exhaustive alternating-cycle-factor search.
 
     Backtracks over the choice of one blue and one red partner per vertex;
-    independent of the matching-gadget route.
+    independent of the two per-color perfect matchings that
+    find_alternating_cycle_factor computes.
     """
     n = g.n
-    if n == 0:
-        return CycleFactor(())
     partner: dict[Color, list[int | None]] = {
         BLUE: [None] * n,
         RED: [None] * n,
@@ -86,24 +90,7 @@ def oracle_factor(
 
     if not fill(0):
         return None
-    cycles = []
-    seen: set[int] = set()
-    for start in range(n):
-        if start in seen:
-            continue
-        verts = [start]
-        cols: list[Color] = []
-        v, color = start, BLUE
-        while True:
-            u = partner[color][v]
-            cols.append(color)
-            seen.add(v)
-            if u == start:
-                break
-            verts.append(u)
-            v, color = u, color.other
-        cycles.append(AltCycle(tuple(verts), tuple(cols)))
-    return CycleFactor(tuple(cycles))
+    return CycleFactor(tuple(decode_cycles(partner, n)))
 
 
 def oracle_alt_path(

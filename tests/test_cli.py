@@ -206,6 +206,30 @@ def test_parse_error_exit(capsys, tmp_path):
     assert "parse error" in err
 
 
+def test_directory_path_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "solve", str(tmp_path))
+    assert code == 64
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_non_utf8_file_is_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"n 2\ne 0 1 B \xff\n")
+    code, out, err = run(capsys, "solve", str(bad))
+    assert code == 65
+    assert out == "" and len(err.splitlines()) == 1 and "parse error" in err
+
+
+def test_non_utf8_stdin_is_parse_error(capsys, monkeypatch):
+    import io
+
+    stdin = io.TextIOWrapper(io.BytesIO(b"n 2\n# \xff\n"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "factor", "-")
+    assert code == 65
+    assert out == "" and len(err.splitlines()) == 1 and "parse error" in err
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

@@ -373,6 +373,18 @@ def test_solve_disconnected_factor():
         )
 
 
+def test_solve_rejects_non_spanning_merge(monkeypatch):
+    g = ac.gen_complete(12, 0)
+    assert len(ac.find_alternating_cycle_factor(g)) == 3
+
+    def drop_second(g, c1, c2, trace=None):
+        return Merged(c1)  # a valid cycle that loses V(c2)
+
+    monkeypatch.setattr("altcycles.merge.merge_pair", drop_second)
+    with pytest.raises(StructureViolation):
+        ac.solve_hamiltonian(g)
+
+
 def test_solve_agrees_with_oracle_on_closed_graphs():
     for g in small_corpus(60, sizes=range(4, 9), seed0=500):
         h = ac.closure_2m(g, 1)
