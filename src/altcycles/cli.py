@@ -11,9 +11,9 @@ from .factor import find_alternating_cycle_factor
 from .graph import BLUE, RED, ColoredMultigraph, ParseError, parse_text, serialize_text
 from .merge import (
     HamiltonianCycle,
+    MergeError,
     NoFactor,
     NotColorConnected,
-    NotTwoMClosed,
     solve_hamiltonian,
 )
 from .predicates import (
@@ -31,6 +31,7 @@ EXIT_NOT_COLOR_CONNECTED = 3
 EXIT_NOT_2M_CLOSED = 4
 EXIT_USAGE = 64
 EXIT_PARSE = 65
+EXIT_SOFTWARE = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,18 +42,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_graph(path: str) -> ColoredMultigraph:
+    """Parse the graph at `path` (`-` for stdin), decoded strictly as UTF-8."""
     try:
         if path == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(path, encoding="utf-8") as f:
-                text = f.read()
-    except UnicodeDecodeError as exc:
-        print(f"parse error: input is not UTF-8 text ({exc.reason})", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE) from None
+            with open(path, "rb") as f:
+                data = f.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        print(f"parse error: input is not UTF-8 text ({exc.reason})", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE) from None
     return parse_text(text)
 
 
@@ -131,7 +135,6 @@ def _cmd_solve(args) -> int:
             f"certificate {cert.vertex} {cert.start_color.value} {cert.target}"
         )
         return EXIT_NOT_COLOR_CONNECTED
-    assert isinstance(result, NotTwoMClosed)
     print("not-2m-closed")
     print(_two_path_witness(result.witness))
     return EXIT_NOT_2M_CLOSED
@@ -246,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     except generate.ConstructionFailed as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_FALSE
+    except MergeError as exc:  # the solver broke one of its own guarantees
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -1,14 +1,17 @@
 """Constructive cycle merging and the Hamiltonian cycle driver.
 
-Merging two alternating cycles proceeds through, in order: a good pair of
-edges, the explicit mixed-color-star cycle, an explicit chord-based cycle,
-and finally a color-domination verdict. Each constructive step builds the
-candidate vertex sequence and validates it against the graph; structural
-failures (short cycles, index collisions) fall back to exhaustive search on
-the union, so every outcome is checked, never assumed.
+Merging two alternating cycles follows the case analysis of the
+characterization, in order: a good pair of edges, the explicit mixed-color
+star cycle, an explicit chord-based cycle, and finally a color-domination
+verdict. Each constructive step builds the candidate vertex sequence and
+validates it against the graph, so every outcome is checked, never assumed.
+A pair that fits no pattern exposes a 2-M closure violation
+(`Inapplicable`); on a 2-M-closed graph it raises `StructureViolation`.
+Every path is polynomial: nothing here searches exhaustively.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import lcm
 
@@ -17,9 +20,13 @@ from .cycles import (
     CycleFactor,
     cycle_from_vertex_sequence,
     validate_cycle,
+    validate_factor,
 )
 from .graph import BLUE, RED, Color, ColoredMultigraph
-from .oracles import oracle_merge
+
+# Not called here: the benchmark's tracer hooks `altcycles.merge.oracle_merge`
+# to show that the solver never searches exhaustively (its count reads 0).
+from .oracles import oracle_merge  # noqa: F401
 from .predicates import TwoPath, two_m_violations
 
 
@@ -78,7 +85,7 @@ class NotAdjacent:
 
 @dataclass(frozen=True)
 class Inapplicable:
-    witness: TwoPath | None
+    witness: TwoPath
 
 
 MergeOutcome = Merged | Dominates | NotAdjacent | Inapplicable
@@ -243,14 +250,11 @@ def merge_good_pair(
 
 def check_parallel_edges(
     g: ColoredMultigraph, c1: AltCycle, c2: AltCycle
-) -> tuple[list[tuple[int, int, Color]] | None, TwoPath | None]:
+) -> list[tuple[int, int, Color]] | None:
     """Verify the cross edges [x_{1+k}, y_{1+k}] with alternating colors,
     assuming appropriate labelling at (x_1, y_1) and no good pair.
 
-    Returns (edges, None) on success. On a missing predicted edge, returns
-    (None, witness) where the witness is a genuine closure violation when one
-    is exposed at that step, else (None, None) — the propagation may also
-    legitimately stop when a merged cycle exists instead.
+    Returns the edges on success, None at the first missing predicted edge.
     """
     m1, m2 = len(c1), len(c2)
     x, y = c1.vertices, c2.vertices
@@ -260,41 +264,9 @@ def check_parallel_edges(
         ck = base if k % 2 == 0 else base.other
         u, v = x[k % m1], y[k % m2]
         if not g.has_edge_color(u, v, ck):
-            witness = _parallel_witness(g, c1, c2, k - 1) if k > 0 else None
-            return None, witness
+            return None
         edges.append((u, v, ck))
-    return edges, None
-
-
-def _parallel_witness(
-    g: ColoredMultigraph, c1: AltCycle, c2: AltCycle, k: int
-) -> TwoPath | None:
-    """Closure violation exposed by the first missing parallel edge at step k
-    (the edge [x_{k+1}, y_{k+1}] is absent while [x_k, y_k] is present)."""
-    from .predicates import _two_path
-
-    m1, m2 = len(c1), len(c2)
-    x, y = c1.vertices, c2.vertices
-    base = c1.colors[0]
-    ck = base if k % 2 == 0 else base.other
-    u, v = x[k % m1], y[k % m2]
-    un, vn = x[(k + 1) % m1], y[(k + 1) % m2]
-    # (x_{k+1}, x_k, y_k) is monochromatic ck
-    if not g.has_edge_any(un, v):
-        return _two_path(un, u, v, ck, ck)
-    # (x_k, y_k, y_{k+1}) is monochromatic ck
-    if not g.has_edge_any(u, vn):
-        return _two_path(u, v, vn, ck, ck)
-    if g.has_edge_any(un, vn):
-        # the pair carries only the wrong color; no closure violation here
-        return None
-    if g.has_edge_color(un, v, ck):
-        # (y_{k+1}, y_k, x_{k+1}) is monochromatic ck
-        return _two_path(vn, v, un, ck, ck)
-    if g.has_edge_color(u, vn, ck):
-        # (x_{k+1}, x_k, y_{k+1}) is monochromatic ck
-        return _two_path(un, u, vn, ck, ck)
-    return None
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +355,12 @@ def merge_pair(
     base = a.colors[0]
 
     # Cross completeness: with no good pair, a 2-M-closed graph has every
-    # cross pair adjacent; a gap means either a closure violation or an
-    # unstructured merge.
+    # cross pair adjacent; a gap means a closure violation.
     if len(cross) != len(c1) * len(c2):
-        return _fallback(g, c1, c2, trace, witness=None)
+        return _off_pattern(g, c1, c2)
 
-    par, witness = check_parallel_edges(g, a, b)
-    if par is None:
-        return _fallback(g, c1, c2, trace, witness=witness)
+    if check_parallel_edges(g, a, b) is None:
+        return _off_pattern(g, c1, c2)
 
     x1 = a.vertices[0]
     i_colors = [g.edge_colors(x1, b.vertices[j]) for j in range(0, len(b), 2)]
@@ -404,48 +374,36 @@ def merge_pair(
         if merged is not None:
             _note(trace, "merge mixed-star")
             return Merged(merged)
-        return _fallback(g, c1, c2, trace, witness=None)
+        return _off_pattern(g, c1, c2)
 
     if p_mixed:
         # this configuration always yields a good pair via parallel
         # alternation; reaching it with none found means a degenerate cycle
-        return _fallback(g, c1, c2, trace, witness=None)
+        return _off_pattern(g, c1, c2)
 
     # monochromatic classes at x1; normalize so all x1 -> c2 edges share one
     # color, interchanging the cycles when the classes differ
-    swapped = False
-    if any(base.other in s for s in p_colors):
-        y1 = b.vertices[0]
-        star = [g.edge_colors(y1, u) for u in a.vertices]
-        if not all(s == {base} for s in star):
-            return _fallback(g, c1, c2, trace, witness=None)
+    swapped = any(base.other in s for s in p_colors)
+    if swapped:
         a, b = b, a
-        swapped = True
 
-    star = [g.edge_colors(a.vertices[0], v) for v in b.vertices]
-    if not all(s == {base} for s in star):
-        return _fallback(g, c1, c2, trace, witness=None)
-
-    # parallel alternation spreads the star: I-class cross edges carry `base`,
-    # P-class cross edges the other color
+    # parallel alternation spreads a monochromatic star at x1: I-class cross
+    # edges (x1 among them) carry only `base`, P-class ones only the other color
     for u in a.i_set:
         for v in b.vertices:
             if g.edge_colors(u, v) != {base}:
-                return _fallback(g, c1, c2, trace, witness=None)
+                return _off_pattern(g, c1, c2)
     for u in a.p_set:
         for v in b.vertices:
             if g.edge_colors(u, v) != {base.other}:
-                return _fallback(g, c1, c2, trace, witness=None)
+                return _off_pattern(g, c1, c2)
 
     # closure forces both internal classes of the dominating cycle complete
     for cls in (sorted(a.i_set), sorted(a.p_set)):
         for s in range(len(cls)):
             for t in range(s + 1, len(cls)):
                 if not g.has_edge_any(cls[s], cls[t]):
-                    w = two_m_violations(g)
-                    return Inapplicable(w[0]) if w else _fallback(
-                        g, c1, c2, trace, witness=None
-                    )
+                    return _off_pattern(g, c1, c2)
 
     merged = _merge_chord(g, a, b, base)
     if merged is not None:
@@ -454,17 +412,12 @@ def merge_pair(
 
     # monochromatic star with no usable chord: the configuration matches the
     # color-domination pattern, so a dominates b
-    if swapped:
-        d = color_dominates(g, c2, c1)
-        if d is not None:
-            _note(trace, f"dominate 2 1 {d.value}")
-            return Dominates(2, d)
-    else:
-        d = color_dominates(g, c1, c2)
-        if d is not None:
-            _note(trace, f"dominate 1 2 {d.value}")
-            return Dominates(1, d)
-    return _fallback(g, c1, c2, trace, witness=None)
+    source, (dominant, dominated) = (2, (c2, c1)) if swapped else (1, (c1, c2))
+    d = color_dominates(g, dominant, dominated)
+    if d is None:
+        return _off_pattern(g, c1, c2)
+    _note(trace, f"dominate {source} {3 - source} {d.value}")
+    return Dominates(source, d)
 
 
 def _merge_mixed_star(
@@ -537,34 +490,14 @@ def _chord_merge(
     return None
 
 
-def _fallback(
-    g: ColoredMultigraph,
-    c1: AltCycle,
-    c2: AltCycle,
-    trace: list[str] | None,
-    witness: TwoPath | None,
-) -> MergeOutcome:
-    """Exhaustive recovery when a constructive step cannot instantiate its
-    pattern: closure violations surface as Inapplicable, else search the
-    union outright, else recheck domination both ways."""
-    if witness is None:
-        w = two_m_violations(g)
-        witness = w[0] if w else None
-    if witness is not None:
-        return Inapplicable(witness)
-    merged = oracle_merge(g, c1, c2)
-    if merged is not None:
-        _note(trace, "merge oracle")
-        return Merged(merged)
-    d = color_dominates(g, c1, c2)
-    if d is not None:
-        _note(trace, f"dominate 1 2 {d.value}")
-        return Dominates(1, d)
-    d = color_dominates(g, c2, c1)
-    if d is not None:
-        _note(trace, f"dominate 2 1 {d.value}")
-        return Dominates(2, d)
-    return Inapplicable(None)
+def _off_pattern(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> Inapplicable:
+    """Outcome for a pair that instantiates no merge pattern: Inapplicable
+    with g's first 2-M closure violation. On a 2-M-closed graph the case
+    analysis leaves no such pair, so there it raises StructureViolation."""
+    violations = two_m_violations(g)
+    if not violations:
+        raise StructureViolation("no merge pattern on a 2-M-closed graph", (c1, c2))
+    return Inapplicable(violations[0])
 
 
 def _note(trace: list[str] | None, line: str) -> None:
@@ -706,11 +639,7 @@ def solve_hamiltonian(
 ) -> SolveResult:
     """Alternating Hamiltonian cycle for 2-M-closed graphs, or a refutation.
 
-    Pipeline: closure check, cycle factor, then merge until one cycle
-    remains; when no pairwise merge applies and dominations are in place,
-    either a domination triangle merges three cycles or the acyclic
-    tournament's source certifies non-color-connectivity. A final cycle
-    that does not validate or span g raises StructureViolation.
+    Pipeline: closure check, cycle factor, then `solve_from_factor`.
     """
     violations = two_m_violations(g)
     if violations:
@@ -720,7 +649,26 @@ def solve_hamiltonian(
     factor = find_alternating_cycle_factor(g)
     if factor is None or g.n == 0:
         return NoFactor()
-    cycles = list(factor)
+    return solve_from_factor(g, factor, trace)
+
+
+def solve_from_factor(
+    g: ColoredMultigraph, cycles: Iterable[AltCycle], trace: list[str] | None = None
+) -> HamiltonianCycle | NotColorConnected:
+    """Merge the cycles of an alternating cycle factor of g into one, or
+    certify that g is not color-connected.
+
+    Precondition: g is 2-M-closed (not checked here; `solve_hamiltonian`
+    checks it). Merges run until one cycle remains; when no pairwise merge
+    applies and dominations are in place, either a domination triangle
+    merges three cycles or the acyclic tournament's source certifies
+    non-color-connectivity. Raises ValueError unless `cycles` is a nonempty
+    alternating cycle factor of g, and StructureViolation when a final cycle
+    does not validate or span g.
+    """
+    cycles = list(cycles)
+    if not cycles or not validate_factor(g, CycleFactor(tuple(cycles))):
+        raise ValueError("cycles are not an alternating cycle factor of g")
     while len(cycles) > 1:
         cert = _disconnected_certificate(g, cycles)
         if cert is not None:

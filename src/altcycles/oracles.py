@@ -138,5 +138,6 @@ def oracle_merge(
         return None
     verts = tuple(labels[v] for v in found.vertices)
     merged = cycle_from_vertex_sequence(g, verts)
-    assert merged is not None
+    if merged is None:  # an induced subgraph keeps every edge of g it spans
+        raise RuntimeError("cycle of the induced subgraph is not a cycle of g")
     return merged

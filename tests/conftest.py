@@ -84,6 +84,17 @@ def not_color_connected_graph() -> tuple[ColoredMultigraph, list[AltCycle]]:
     return g, cycles
 
 
+def two_cycle_gap_graph() -> ColoredMultigraph:
+    """2-M-closed, color-connected, with a factor of three 2-cycles, but no
+    alternating Hamiltonian cycle; the solver raises StructureViolation on it."""
+    return ac.parse_text(
+        "n 6\n"
+        "e 0 1 B\ne 0 1 R\ne 0 4 B\ne 0 5 R\ne 1 4 B\ne 1 5 R\n"
+        "e 2 3 B\ne 2 3 R\ne 2 4 R\ne 2 5 B\ne 3 4 R\ne 3 5 B\n"
+        "e 4 5 B\ne 4 5 R\n"
+    )
+
+
 def small_corpus(count: int, sizes=range(4, 9), seed0: int = 0):
     """Deterministic mix of complete-random and closed-up random graphs."""
     out = []

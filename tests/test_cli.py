@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import io
+
 import pytest
 
 import altcycles as ac
 from altcycles import BLUE, RED
 from altcycles.cli import export_dot, main
-from conftest import not_color_connected_graph, ring
+from conftest import not_color_connected_graph, ring, two_cycle_gap_graph
 
 
 @pytest.fixture
@@ -220,19 +222,30 @@ def test_non_utf8_file_is_parse_error(capsys, tmp_path):
     assert out == "" and len(err.splitlines()) == 1 and "parse error" in err
 
 
-def test_non_utf8_stdin_is_parse_error(capsys, monkeypatch):
-    import io
+def byte_stdin(data: bytes, errors: str = "strict") -> io.TextIOWrapper:
+    """A text stdin over `data` whose `.buffer` holds the raw bytes."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
 
-    stdin = io.TextIOWrapper(io.BytesIO(b"n 2\n# \xff\n"), encoding="utf-8")
-    monkeypatch.setattr("sys.stdin", stdin)
-    code, out, err = run(capsys, "factor", "-")
-    assert code == 65
-    assert out == "" and len(err.splitlines()) == 1 and "parse error" in err
+
+def test_non_utf8_stdin_is_parse_error(capsys, monkeypatch):
+    # decoded strictly, whatever error handler the locale gives stdin (the C
+    # locale gives surrogateescape, which would accept the bytes in a comment)
+    for errors in ("strict", "surrogateescape"):
+        for data in (b"n 2\n# \xff\n", b"n 2\n# caf\xe9\ne 0 1 B\n"):
+            monkeypatch.setattr("sys.stdin", byte_stdin(data, errors))
+            code, out, err = run(capsys, "factor", "-")
+            assert code == 65
+            assert out == "" and len(err.splitlines()) == 1 and "parse error" in err
 
 
 def test_stdin_input(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO(ac.serialize_text(ring_graph())))
+    monkeypatch.setattr("sys.stdin", byte_stdin(ac.serialize_text(ring_graph()).encode()))
     code, out, _ = run(capsys, "solve", "-")
     assert code == 0 and out.splitlines()[0] == "hamiltonian"
+
+
+def test_solver_error_exits_70_without_traceback(capsys, write_graph):
+    code, out, err = run(capsys, "solve", "--trace", write_graph(two_cycle_gap_graph()))
+    assert code == 70
+    assert out == ""
+    assert err == "solver error: out-arcs of one cycle differ in color\n"
