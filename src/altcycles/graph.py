@@ -9,6 +9,12 @@ from __future__ import annotations
 from enum import Enum
 
 
+# Largest vertex count `parse_text` accepts. The graph allocates two
+# neighbor sets per vertex (about 440 B) before it reads any edge, so an
+# empty graph at this size takes about 44 MB.
+MAX_VERTICES = 100_000
+
+
 class GraphError(Exception):
     """Base class for graph construction/parsing errors."""
 
@@ -161,8 +167,8 @@ def induced_subgraph(
 def parse_text(text: str) -> ColoredMultigraph:
     """Parse the edge-list format.
 
-    `n <count>` first, then `e <u> <v> <B|R>` lines; '#' starts a comment,
-    blank lines are ignored.
+    `n <count>` first (at most MAX_VERTICES), then `e <u> <v> <B|R>` lines;
+    '#' starts a comment, blank lines are ignored.
     """
     g: ColoredMultigraph | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -181,6 +187,8 @@ def parse_text(text: str) -> ColoredMultigraph:
                 raise ParseError(f"bad vertex count {parts[1]!r}", line_no)
             if count < 0:
                 raise ParseError("vertex count must be non-negative", line_no)
+            if count > MAX_VERTICES:
+                raise ParseError(f"vertex count {count} exceeds {MAX_VERTICES}", line_no)
             g = ColoredMultigraph(count)
         elif parts[0] == "e":
             if g is None:

@@ -7,12 +7,15 @@ verdict. Each constructive step builds the candidate vertex sequence and
 validates it against the graph, so every outcome is checked, never assumed.
 A pair that fits no pattern exposes a 2-M closure violation
 (`Inapplicable`); on a 2-M-closed graph it raises `StructureViolation`.
-Every path is polynomial: nothing here searches exhaustively.
+The solver's domination digraph is read off the verdicts of its last sweep
+over the cycle pairs; nothing recomputes them. Every path is polynomial:
+nothing here searches exhaustively.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import combinations
 from math import lcm
 
 from .cycles import (
@@ -96,9 +99,6 @@ class DominationDigraph:
     size: int
     arcs: dict[tuple[int, int], Color]
 
-    def out_degree(self, i: int) -> int:
-        return sum(1 for (a, _b) in self.arcs if a == i)
-
     def find_directed_triangle(self) -> tuple[int, int, int] | None:
         for (i, j) in sorted(self.arcs):
             for k in range(self.size):
@@ -107,9 +107,6 @@ class DominationDigraph:
                 if (j, k) in self.arcs and (k, i) in self.arcs:
                     return (i, j, k)
         return None
-
-    def is_acyclic(self) -> bool:
-        return self.find_directed_triangle() is None
 
     def source(self) -> tuple[int, Color]:
         """Node of out-degree size-1 with its (uniform) out-arc color."""
@@ -510,38 +507,30 @@ def _note(trace: list[str] | None, line: str) -> None:
 
 
 def build_domination_digraph(
-    g: ColoredMultigraph, cycles: list[AltCycle]
+    size: int, verdicts: dict[tuple[int, int], MergeOutcome]
 ) -> DominationDigraph:
-    """Digraph on factor cycles with a colored arc per domination.
+    """Digraph on `size` factor cycles with a colored arc per `Dominates`
+    among `merge_pair`'s verdicts on the pairs (i, j), i < j.
 
     Verifies the structural guarantees available before triangle elimination:
-    an arc per adjacent pair, no symmetric pair, monochromatic out-stars, and
-    the arc color matching the first-vertex edge. Acyclicity is established
-    by the driver, which merges any directed triangle first.
+    every other verdict is `NotAdjacent`, out-stars are monochromatic, and
+    each component is a tournament. Acyclicity is established by the driver,
+    which merges any directed triangle first. Arcs need no recheck: if c1
+    dominates c2, each vertex of c2 sees both colors from c1, so c2 cannot
+    dominate c1.
     """
     arcs: dict[tuple[int, int], Color] = {}
-    l = len(cycles)
-    for i in range(l):
-        for j in range(i + 1, l):
-            if not _adjacent(g, cycles[i], cycles[j]):
-                continue
-            dij = color_dominates(g, cycles[i], cycles[j])
-            dji = color_dominates(g, cycles[j], cycles[i])
-            if dij is not None and dji is not None:
-                raise StructureViolation("symmetric domination pair", (i, j))
-            if dij is None and dji is None:
-                raise StructureViolation("adjacent cycles with no domination", (i, j))
-            src, dst, color = (i, j, dij) if dij is not None else (j, i, dji)
-            first_edge = g.edge_colors(cycles[src].vertices[0], cycles[dst].vertices[0])
-            if first_edge != {color}:
-                raise StructureViolation("arc color mismatch", (src, dst))
-            arcs[(src, dst)] = color
-    for i in range(l):
+    for (i, j), verdict in verdicts.items():
+        if isinstance(verdict, Dominates):
+            arcs[(i, j) if verdict.source == 1 else (j, i)] = verdict.color
+        elif not isinstance(verdict, NotAdjacent):
+            raise StructureViolation("adjacent cycles with no domination", (i, j))
+    for i in range(size):
         colors = {c for (s, _t), c in arcs.items() if s == i}
         if len(colors) > 1:
             raise StructureViolation("out-arcs of one cycle differ in color", (i,))
     # tournament on connected adjacency components
-    comps = _components(arcs, l)
+    comps = _components(arcs, size)
     for comp in comps:
         members = sorted(comp)
         for s in range(len(members)):
@@ -549,7 +538,7 @@ def build_domination_digraph(
                 i, j = members[s], members[t]
                 if (i, j) not in arcs and (j, i) not in arcs:
                     raise StructureViolation("component pair without arc", (i, j))
-    return DominationDigraph(l, arcs)
+    return DominationDigraph(size, arcs)
 
 
 def _adjacent(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> bool:
@@ -659,35 +648,33 @@ def solve_from_factor(
     certify that g is not color-connected.
 
     Precondition: g is 2-M-closed (not checked here; `solve_hamiltonian`
-    checks it). Merges run until one cycle remains; when no pairwise merge
-    applies and dominations are in place, either a domination triangle
-    merges three cycles or the acyclic tournament's source certifies
-    non-color-connectivity. Raises ValueError unless `cycles` is a nonempty
-    alternating cycle factor of g, and StructureViolation when a final cycle
-    does not validate or span g.
+    checks it). A disconnected cycle adjacency is certified up front; a
+    merge joins adjacent cycles, so it cannot disconnect later. Each round
+    sweeps the pairs in order and merges the first pair that merges; when
+    none does, the sweep's verdicts build the domination digraph, and either
+    a domination triangle merges three cycles or the acyclic tournament's
+    source certifies non-color-connectivity. Raises ValueError unless
+    `cycles` is a nonempty alternating cycle factor of g, and
+    StructureViolation when a final cycle does not validate or span g.
     """
     cycles = list(cycles)
     if not cycles or not validate_factor(g, CycleFactor(tuple(cycles))):
         raise ValueError("cycles are not an alternating cycle factor of g")
-    while len(cycles) > 1:
+    if len(cycles) > 1:
         cert = _disconnected_certificate(g, cycles)
         if cert is not None:
             return NotColorConnected(cert)
-        merged_any = False
-        for i in range(len(cycles)):
-            for j in range(i + 1, len(cycles)):
-                outcome = merge_pair(g, cycles[i], cycles[j], trace)
-                if isinstance(outcome, Merged):
-                    cycles = [
-                        c for k, c in enumerate(cycles) if k not in (i, j)
-                    ] + [outcome.cycle]
-                    merged_any = True
-                    break
-            if merged_any:
+    while len(cycles) > 1:
+        verdicts: dict[tuple[int, int], MergeOutcome] = {}
+        for i, j in combinations(range(len(cycles)), 2):
+            outcome = merge_pair(g, cycles[i], cycles[j], trace)
+            if isinstance(outcome, Merged):
                 break
-        if merged_any:
+            verdicts[(i, j)] = outcome
+        if isinstance(outcome, Merged):
+            cycles = [c for k, c in enumerate(cycles) if k not in (i, j)] + [outcome.cycle]
             continue
-        digraph = build_domination_digraph(g, cycles)
+        digraph = build_domination_digraph(len(cycles), verdicts)
         triangle = digraph.find_directed_triangle()
         if triangle is not None:
             i, j, k = triangle

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import altcycles as ac
 from altcycles import BLUE, RED, AltCycle, ColoredMultigraph
 
@@ -109,3 +113,14 @@ def small_corpus(count: int, sizes=range(4, 9), seed0: int = 0):
                 out.append(ac.closure_2m(ac.gen_random(n, seed, 0.35), seed))
             seed += 1
     return out
+
+
+def solve_corpus_graphs(seed: int) -> list[ColoredMultigraph]:
+    """The benchmark's solve-corpus pool (`bench/workloads.py`) for `seed`,
+    parsed: small graphs of all four solve verdicts."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses resolve through sys.modules
+    spec.loader.exec_module(workloads)
+    return [ac.parse_text(e.text) for e in workloads.SolveCorpus().make_pool(seed)]

@@ -7,7 +7,8 @@ import pytest
 import altcycles as ac
 from altcycles import BLUE, RED
 from altcycles.cli import export_dot, main
-from conftest import not_color_connected_graph, ring, two_cycle_gap_graph
+from altcycles.graph import MAX_VERTICES
+from conftest import not_color_connected_graph, ring, triangle_graph, two_cycle_gap_graph
 
 
 @pytest.fixture
@@ -120,17 +121,42 @@ def test_solve_not_2m_closed(capsys, write_graph):
     assert out.splitlines()[0] == "not-2m-closed"
 
 
-def test_solve_trace(capsys, write_graph):
-    g, _ = not_color_connected_graph()
-    code, out, _ = run(capsys, "solve", "--trace", write_graph(g))
-    assert code == 3  # trace lines precede the verdict when merges happen
-
-
-def test_factor(capsys, write_graph):
+def two_rings_graph():
     g = ac.empty(8)
     ring(g, 0, 2)
     ring(g, 4, 2)
-    code, out, _ = run(capsys, "factor", write_graph(g))
+    return g
+
+
+# exact stdout, trace lines included, so merge-loop changes keep it byte-identical
+TRACE_CASES = [
+    (
+        "not-color-connected",
+        lambda: not_color_connected_graph()[0],
+        3,
+        "dominate 1 2 B\ndominate 1 2 B\ndominate 1 2 B\n"
+        "not-color-connected\ncertificate 0 R 4\n",
+    ),
+    (
+        "triangle-RRB",
+        lambda: triangle_graph((RED, RED, BLUE))[0],
+        0,
+        "merge good-pair\nhamiltonian\n"
+        "cycle 0 10 6 3 13 12 11 7 2 8 4 1 9 5 : B R B R B R B R B R B R B R\n",
+    ),
+    ("two-rings", two_rings_graph, 3, "not-color-connected\ncertificate 0 B 4\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, code, stdout", [c[1:] for c in TRACE_CASES], ids=[c[0] for c in TRACE_CASES]
+)
+def test_solve_trace(capsys, write_graph, build, code, stdout):
+    assert run(capsys, "solve", "--trace", write_graph(build()))[:2] == (code, stdout)
+
+
+def test_factor(capsys, write_graph):
+    code, out, _ = run(capsys, "factor", write_graph(two_rings_graph()))
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 2 and all(l.startswith("cycle ") for l in lines)
@@ -206,6 +232,10 @@ def test_parse_error_exit(capsys, tmp_path):
     code, _, err = run(capsys, "solve", str(bad))
     assert code == 65
     assert "parse error" in err
+    bad.write_text(f"n {MAX_VERTICES + 1}\n")
+    code, out, err = run(capsys, "solve", str(bad))
+    assert code == 65
+    assert out == "" and len(err.splitlines()) == 1 and "parse error" in err
 
 
 def test_directory_path_is_usage_error(capsys, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 import altcycles as ac
 from altcycles import BLUE, RED
 from altcycles.graph import (
+    MAX_VERTICES,
     Color,
     LoopError,
     OutOfRangeError,
@@ -107,6 +108,7 @@ def test_parse_text():
         "n 2\ne 0 0 B\n",
         "n 2\nq 0 1\n",
         "n 2\ne 0 B\n",
+        f"n {MAX_VERTICES + 1}\n",  # rejected before any allocation
     ],
 )
 def test_parse_errors(text):

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -27,6 +28,7 @@ from altcycles.merge import (
     appropriately_label,
     check_parallel_edges,
     merge_domination_triangle,
+    merge_pair,
 )
 from conftest import (
     complete_within,
@@ -35,6 +37,7 @@ from conftest import (
     not_color_connected_graph,
     ring,
     small_corpus,
+    solve_corpus_graphs,
     triangle_graph,
     two_cycle_gap_graph,
 )
@@ -254,6 +257,16 @@ def test_merge_pair_closure_violation_witness():
 # domination digraph and triangles
 
 
+def digraph_of(g, cycles):
+    """The domination digraph built, as the solver builds it, from
+    merge_pair's verdicts on every pair."""
+    verdicts = {
+        (i, j): ac.merge_pair(g, cycles[i], cycles[j])
+        for i, j in combinations(range(len(cycles)), 2)
+    }
+    return ac.build_domination_digraph(len(cycles), verdicts)
+
+
 TRIANGLE_COLORS = [
     (BLUE, BLUE, BLUE),
     (BLUE, BLUE, RED),
@@ -268,14 +281,13 @@ TRIANGLE_COLORS = [
 def test_domination_triangle(colors):
     g, cycles = triangle_graph(colors)
     assert ac.is_2m_closed(g)
-    digraph = ac.build_domination_digraph(g, cycles)
+    digraph = digraph_of(g, cycles)
     assert digraph.arcs == {
         (0, 1): colors[0],
         (1, 2): colors[1],
         (2, 0): colors[2],
     }
     assert digraph.find_directed_triangle() == (0, 1, 2)
-    assert not digraph.is_acyclic()
     merged = merge_domination_triangle(g, cycles[0], cycles[1], cycles[2], colors)
     assert ac.validate_cycle(g, merged)
     assert merged.vertex_set() == set(range(14))
@@ -289,14 +301,19 @@ def test_domination_triangle_solves_to_hamiltonian():
     assert result.cycle.vertex_set() == set(range(g.n))
 
 
-def test_digraph_rejects_symmetric_domination():
+def test_digraph_rejects_merged_pair_of_two_way_planting():
+    # planting domination both ways leaves neither cycle dominating: every
+    # cross pair carries both colors, and the pair merges instead
     g = ac.empty(8)
     c1 = ring(g, 0, 2)
     c2 = ring(g, 4, 2)
     dominate(g, c1, c2, BLUE)
     dominate(g, c2, c1, BLUE)
-    with pytest.raises(StructureViolation):
-        ac.build_domination_digraph(g, [c1, c2])
+    assert ac.color_dominates(g, c1, c2) is None
+    assert ac.color_dominates(g, c2, c1) is None
+    assert isinstance(ac.merge_pair(g, c1, c2), Merged)
+    with pytest.raises(StructureViolation, match="^adjacent cycles with no domination$"):
+        digraph_of(g, [c1, c2])
 
 
 def test_digraph_requires_domination_between_adjacent_cycles():
@@ -304,18 +321,45 @@ def test_digraph_requires_domination_between_adjacent_cycles():
     c1 = ring(g, 0, 2)
     c2 = ring(g, 4, 2)
     g.add_edge(0, 4, RED)  # adjacent but no domination either way
-    with pytest.raises(StructureViolation):
-        ac.build_domination_digraph(g, [c1, c2])
+    with pytest.raises(StructureViolation, match="^adjacent cycles with no domination$"):
+        digraph_of(g, [c1, c2])
 
 
 def test_digraph_source():
     g, cycles = not_color_connected_graph()
-    digraph = ac.build_domination_digraph(g, cycles)
-    assert digraph.is_acyclic()
+    digraph = digraph_of(g, cycles)
+    assert digraph.arcs == {(0, 1): BLUE, (0, 2): BLUE, (1, 2): BLUE}
     assert digraph.find_directed_triangle() is None
     src, color = digraph.source()
     assert (src, color) == (0, BLUE)
-    assert digraph.out_degree(0) == 2
+
+
+def test_dominates_verdicts_are_one_way_and_match_the_first_edge(monkeypatch):
+    """Why the digraph takes merge_pair's Dominates verdicts unchecked: over
+    whole-solver runs, the reverse pair never dominates, and the edge
+    between the two first vertices carries exactly the arc's color."""
+    seen = []
+
+    def recording(g, c1, c2, trace=None):
+        outcome = merge_pair(g, c1, c2, trace)
+        if isinstance(outcome, Dominates):
+            src, dst = (c1, c2) if outcome.source == 1 else (c2, c1)
+            seen.append((g, src, dst, outcome.color))
+        return outcome
+
+    monkeypatch.setattr("altcycles.merge.merge_pair", recording)
+    for seed in range(300):
+        g, cycles = planted_instance(seed)
+        with contextlib.suppress(StructureViolation):  # the open 2-cycle gap
+            ac.solve_from_factor(g, cycles)
+    planted = len(seen)
+    for g in solve_corpus_graphs(seed=1):
+        with contextlib.suppress(StructureViolation):
+            ac.solve_hamiltonian(g)
+    assert planted and len(seen) > planted
+    for g, src, dst, color in seen:
+        assert ac.color_dominates(g, dst, src) is None
+        assert g.edge_colors(src.vertices[0], dst.vertices[0]) == {color}
 
 
 # ---------------------------------------------------------------------------
