@@ -2,17 +2,21 @@
 
 A pair of vertices may carry at most one blue and one red edge; parallel
 edges of the same color are collapsed (alternation and all predicates
-depend only on per-color presence).
+depend only on per-color presence). Adjacency is stored as one neighbor
+bit mask per vertex and color: bit v of u's mask is set when {u, v} has an
+edge of that color.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
 
 
-# Largest vertex count `parse_text` accepts. The graph allocates two
-# neighbor sets per vertex (about 440 B) before it reads any edge, so an
-# empty graph at this size takes about 44 MB.
-MAX_VERTICES = 100_000
+# Largest vertex count `parse_text` accepts. A vertex's mask is as wide as
+# its highest neighbor index, so the masks take up to about n*n/4 bytes:
+# about 26 MB at this size (every vertex joined to the last one in both
+# colors), from about 300 KB of text.
+MAX_VERTICES = 10_000
 
 
 class GraphError(Exception):
@@ -59,12 +63,17 @@ BLUE = Color.BLUE
 RED = Color.RED
 
 
-def _key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class ColoredMultigraph:
-    """Undirected multigraph with per-pair, per-color edge presence.
+    """Undirected multigraph with per-pair, per-color edge presence, held
+    as two lists of neighbor bit masks, one per color.
 
     Treated as immutable once construction is finished; `add_edge` is only
     used while building.
@@ -74,11 +83,8 @@ class ColoredMultigraph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        # one neighbor-set per vertex per color; symmetric by construction
-        self._adj: dict[Color, list[set[int]]] = {
-            BLUE: [set() for _ in range(n)],
-            RED: [set() for _ in range(n)],
-        }
+        # neighbor masks indexed by `color is RED`; symmetric by construction
+        self._adj: list[list[int]] = [[0] * n, [0] * n]
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -90,49 +96,59 @@ class ColoredMultigraph:
         self._check_vertex(v)
         if u == v:
             raise LoopError(f"loop at vertex {u}")
-        self._adj[color][u].add(v)
-        self._adj[color][v].add(u)
+        masks = self._adj[color is RED]
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
         return self
+
+    def masks(self, color: Color) -> list[int]:
+        """The neighbor bit masks of `color`, indexed by vertex: bit v of
+        `masks(color)[u]` is set iff {u, v} has an edge of that color.
+        This is the graph's own storage, for reading only."""
+        return self._adj[color is RED]
 
     def has_edge_color(self, u: int, v: int, color: Color) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self._adj[color][u]
+        return self._adj[color is RED][u] >> v & 1 == 1
 
     def has_edge_any(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self._adj[BLUE][u] or v in self._adj[RED][u]
+        blue, red = self._adj
+        return (blue[u] | red[u]) >> v & 1 == 1
 
     def edge_colors(self, u: int, v: int) -> set[Color]:
         return {c for c in Color if self.has_edge_color(u, v, c)}
 
     def neighbors_by_color(self, v: int, color: Color) -> set[int]:
         self._check_vertex(v)
-        return set(self._adj[color][v])
+        return set(bits(self._adj[color is RED][v]))
 
     def neighbors_any(self, v: int) -> set[int]:
         self._check_vertex(v)
-        return self._adj[BLUE][v] | self._adj[RED][v]
+        blue, red = self._adj
+        return set(bits(blue[v] | red[v]))
 
     def edges(self) -> list[tuple[int, int, Color]]:
         """All edges as (u, v, color), u < v, sorted; Blue before Red."""
         out = []
+        blue, red = self._adj
         for u in range(self.n):
-            for color in (BLUE, RED):
-                for v in self._adj[color][u]:
-                    if u < v:
-                        out.append((u, v, color))
-        out.sort(key=lambda e: (e[0], e[1], e[2] is RED))
+            b, r = blue[u], red[u]
+            for v in bits((b | r) >> (u + 1) << (u + 1)):
+                if b >> v & 1:
+                    out.append((u, v, BLUE))
+                if r >> v & 1:
+                    out.append((u, v, RED))
         return out
 
     def edge_count(self) -> int:
-        return len(self.edges())
+        return sum(m.bit_count() for masks in self._adj for m in masks) // 2
 
     def copy(self) -> ColoredMultigraph:
         g = ColoredMultigraph(self.n)
-        for color in (BLUE, RED):
-            g._adj[color] = [set(s) for s in self._adj[color]]
+        g._adj = [list(masks) for masks in self._adj]
         return g
 
     def __eq__(self, other: object) -> bool:

@@ -109,14 +109,12 @@ class DominationDigraph:
         return None
 
     def source(self) -> tuple[int, Color]:
-        """Node of out-degree size-1 with its (uniform) out-arc color."""
+        """Node of out-degree size-1 with its out-arc color, which
+        `build_domination_digraph` has made the same on every out-arc."""
         for i in range(self.size):
-            outs = [(j, c) for (a, j), c in self.arcs.items() if a == i]
+            outs = [c for (a, _j), c in self.arcs.items() if a == i]
             if len(outs) == self.size - 1:
-                colors = {c for _j, c in outs}
-                if len(colors) != 1:
-                    raise StructureViolation("source out-arcs not monochromatic", (i,))
-                return i, colors.pop()
+                return i, outs[0]
         raise StructureViolation("no source of full out-degree", ())
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import BLUE, RED, Color, ColoredMultigraph
+from .graph import BLUE, RED, Color, ColoredMultigraph, OutOfRangeError, bits
 
 
 @dataclass(frozen=True)
@@ -51,39 +51,35 @@ class AltPath:
         )
 
 
-def _two_path(a: int, b: int, c: int, ca: Color, cc: Color) -> TwoPath:
-    # normalize so x1 < x3
-    if a < c:
-        return TwoPath(a, b, c, ca, cc)
-    return TwoPath(c, b, a, cc, ca)
+def _open_two_paths(g: ColoredMultigraph, mono: bool) -> list[TwoPath]:
+    """Every 2-path (x1, x2, x3), x1 < x3, whose endpoints have no edge at
+    all, monochromatic or not as `mono` says, in (x1, x2, x3, c1) order."""
+    blue, red = g.masks(BLUE), g.masks(RED)
+    # second-edge masks after a blue and after a red first edge
+    after_blue, after_red = (blue, red) if mono else (red, blue)
+    out = []
+    for x1 in range(g.n):
+        b1, r1 = blue[x1], red[x1]
+        closed = b1 | r1 | ((2 << x1) - 1)  # x1's neighbors and x3 <= x1
+        for x2 in bits(b1 | r1):
+            from_b = after_blue[x2] & ~closed if b1 >> x2 & 1 else 0
+            from_r = after_red[x2] & ~closed if r1 >> x2 & 1 else 0
+            for x3 in bits(from_b | from_r):
+                if from_b >> x3 & 1:
+                    out.append(TwoPath(x1, x2, x3, BLUE, BLUE if mono else RED))
+                if from_r >> x3 & 1:
+                    out.append(TwoPath(x1, x2, x3, RED, RED if mono else BLUE))
+    return out
 
 
 def two_m_violations(g: ColoredMultigraph) -> list[TwoPath]:
     """Every monochromatic 2-path whose endpoints have no edge at all."""
-    out = []
-    for x2 in range(g.n):
-        for color in (BLUE, RED):
-            nbrs = sorted(g.neighbors_by_color(x2, color))
-            for i, x1 in enumerate(nbrs):
-                for x3 in nbrs[i + 1 :]:
-                    if not g.has_edge_any(x1, x3):
-                        out.append(_two_path(x1, x2, x3, color, color))
-    out = sorted(set(out), key=lambda p: (p.x1, p.x2, p.x3, p.c1.value))
-    return out
+    return _open_two_paths(g, mono=True)
 
 
 def two_nm_violations(g: ColoredMultigraph) -> list[TwoPath]:
     """Every non-monochromatic 2-path whose endpoints have no edge at all."""
-    out = []
-    for x2 in range(g.n):
-        blues = g.neighbors_by_color(x2, BLUE)
-        reds = g.neighbors_by_color(x2, RED)
-        for x1 in blues:
-            for x3 in reds:
-                if x1 != x3 and not g.has_edge_any(x1, x3):
-                    out.append(_two_path(x1, x2, x3, BLUE, RED))
-    out = sorted(set(out), key=lambda p: (p.x1, p.x2, p.x3, p.c1.value))
-    return out
+    return _open_two_paths(g, mono=False)
 
 
 def is_2m_closed(g: ColoredMultigraph) -> bool:
@@ -99,38 +95,25 @@ def closed_alternating_witness(
 ) -> tuple[int, int, int, int] | None:
     """First alternating 3-path (x1, x2, x3, x4) with no closing alternating
     4-cycle (x1, y, w, x4, x1), or None if every one closes."""
+    adj = (g.masks(BLUE), g.masks(RED))  # indexed by `color is RED`
     for x1 in range(g.n):
-        for c1 in (BLUE, RED):
-            for x2 in sorted(g.neighbors_by_color(x1, c1)):
-                if x2 == x1:
-                    continue
-                c2 = c1.other
-                for x3 in sorted(g.neighbors_by_color(x2, c2)):
-                    if x3 in (x1, x2):
-                        continue
-                    c3 = c2.other
-                    for x4 in sorted(g.neighbors_by_color(x3, c3)):
-                        if x4 in (x1, x2, x3):
-                            continue
-                        if not _closes(g, x1, x4):
+        for c1 in (0, 1):
+            for x2 in bits(adj[c1][x1]):
+                for x3 in bits(adj[1 - c1][x2] & ~(1 << x1)):
+                    for x4 in bits(adj[c1][x3] & ~(1 << x1 | 1 << x2)):
+                        if not _closes(adj, x1, x4):
                             return (x1, x2, x3, x4)
     return None
 
 
-def _closes(g: ColoredMultigraph, x1: int, x4: int) -> bool:
-    # exhaustive search for y, w with (x1, y, w, x4, x1) alternating
-    if not g.has_edge_any(x4, x1):
-        return False
-    for a in (BLUE, RED):
-        if not g.has_edge_color(x4, x1, a.other):
-            continue
-        for y in g.neighbors_by_color(x1, a):
-            if y in (x1, x4):
-                continue
-            for w in g.neighbors_by_color(y, a.other):
-                if w in (x1, x4, y):
-                    continue
-                if g.has_edge_color(w, x4, a):
+def _closes(adj: tuple[list[int], list[int]], x1: int, x4: int) -> bool:
+    # some y, w with (x1, y, w, x4, x1) alternating: [x1, y] and [w, x4] in
+    # color a, [y, w] and [x4, x1] in the other
+    ends = 1 << x1 | 1 << x4
+    for a in (0, 1):
+        if adj[1 - a][x4] >> x1 & 1:
+            for y in bits(adj[a][x1] & ~ends):
+                if adj[1 - a][y] & adj[a][x4] & ~ends:
                     return True
     return False
 
@@ -146,34 +129,41 @@ def exists_alternating_path(
     colors, or None.
 
     Colors along an alternating path are forced by the first edge, so the
-    search is a DFS over simple paths with the color schedule fixed.
+    search is a DFS over simple paths with the color schedule fixed, on an
+    explicit stack, trying neighbors lowest first.
     """
     if x == y:
         raise ValueError("endpoints must differ")
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise OutOfRangeError(f"endpoints {x}, {y} outside 0..{g.n - 1}")
+    adj = (g.masks(BLUE), g.masks(RED))
+    need, want = first is RED, last is RED  # color indices into adj
     path = [x]
-    on_path = {x}
-
-    def dfs(v: int, need: Color) -> AltPath | None:
-        for u in sorted(g.neighbors_by_color(v, need)):
-            if u in on_path:
-                continue
-            if u == y:
-                if need is last:
-                    cols = tuple(
-                        first if k % 2 == 0 else first.other for k in range(len(path))
-                    )
-                    return AltPath(tuple(path) + (y,), cols)
-                continue
-            path.append(u)
-            on_path.add(u)
-            found = dfs(u, need.other)
-            if found is not None:
-                return found
-            path.pop()
-            on_path.remove(u)
-        return None
-
-    return dfs(x, first)
+    on_path = 1 << x
+    # per path vertex, its untried neighbors in the color its next edge needs
+    untried = [adj[need][x] & ~on_path]
+    while untried:
+        cand = untried[-1]
+        if not cand:
+            untried.pop()
+            on_path ^= 1 << path.pop()
+            need = not need
+            continue
+        low = cand & -cand
+        untried[-1] = cand ^ low
+        u = low.bit_length() - 1
+        if u == y:
+            if need == want:
+                cols = tuple(
+                    first if k % 2 == 0 else first.other for k in range(len(path))
+                )
+                return AltPath(tuple(path) + (y,), cols)
+            continue
+        path.append(u)
+        on_path |= low
+        need = not need
+        untried.append(adj[need][u] & ~on_path)
+    return None
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,17 @@ def test_check_false_with_witness(capsys, write_graph):
     assert not g.has_edge_any(x1, x3)
 
 
+def test_check_color_connected_deep_search(capsys, write_graph):
+    # an alternating path 0, 1199, 1198, ..., 1: the first pair checked,
+    # (0, 1), needs a search 1199 edges deep and has no blue-first path
+    g = ac.empty(1200)
+    for i in range(1, 1200):
+        g.add_edge(i, (i + 1) % 1200, BLUE if i % 2 == 0 else RED)
+    code, out, err = run(capsys, "check", "--predicate", "color-connected", write_graph(g))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[:2] == ["false", "witness pair 0 1"]
+
+
 def test_check_2nm(capsys, write_graph):
     g = ac.empty(3)
     g.add_edge(0, 1, BLUE).add_edge(1, 2, RED)

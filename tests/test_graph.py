@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,6 +116,21 @@ def test_parse_text():
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         ac.parse_text(text)
+
+
+def test_mask_memory_at_vertex_limit():
+    # the widest masks per byte of input: every vertex joined to the last
+    # one in both colors, so n - 1 masks are n bits wide
+    n = MAX_VERTICES
+    text = f"n {n}\n" + "".join(f"e {v} {n - 1} B\ne {v} {n - 1} R\n" for v in range(n - 1))
+    tracemalloc.start()
+    try:
+        g = ac.parse_text(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count() == 2 * (n - 1)
+    assert peak < 40 * 2**20
 
 
 def test_parse_error_reports_line():

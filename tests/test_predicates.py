@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import altcycles as ac
 from altcycles import BLUE, RED
+from altcycles.graph import OutOfRangeError
 from altcycles.predicates import (
     AltPath,
+    TwoPath,
     closed_alternating_witness,
     color_connectivity_witness,
 )
@@ -150,3 +154,158 @@ def test_alt_path_well_formed():
     assert not AltPath((0, 1, 2), (BLUE, BLUE)).well_formed()
     assert not AltPath((0, 1, 0), (BLUE, RED)).well_formed()
     assert not AltPath((0,), ()).well_formed()
+
+
+# Set-based references: the implementations the bit-mask core replaced.
+
+
+def set_adjacency(g):
+    adj = {c: [set() for _ in range(g.n)] for c in (BLUE, RED)}
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            for c in (BLUE, RED):
+                if g.has_edge_color(u, v, c):
+                    adj[c][u].add(v)
+                    adj[c][v].add(u)
+    return adj
+
+
+def ref_edges(g):
+    return [
+        (u, v, c)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        for c in (BLUE, RED)
+        if g.has_edge_color(u, v, c)
+    ]
+
+
+def ref_two_path(a, b, c, ca, cc):
+    return TwoPath(a, b, c, ca, cc) if a < c else TwoPath(c, b, a, cc, ca)
+
+
+def ref_violations(adj, mono):
+    def joined(u, v):
+        return v in adj[BLUE][u] or v in adj[RED][u]
+
+    out = []
+    for x2 in range(len(adj[BLUE])):
+        if mono:
+            for color in (BLUE, RED):
+                nbrs = sorted(adj[color][x2])
+                for i, x1 in enumerate(nbrs):
+                    for x3 in nbrs[i + 1 :]:
+                        if not joined(x1, x3):
+                            out.append(ref_two_path(x1, x2, x3, color, color))
+        else:
+            for x1 in adj[BLUE][x2]:
+                for x3 in adj[RED][x2]:
+                    if x1 != x3 and not joined(x1, x3):
+                        out.append(ref_two_path(x1, x2, x3, BLUE, RED))
+    return sorted(set(out), key=lambda p: (p.x1, p.x2, p.x3, p.c1.value))
+
+
+def ref_closed_alternating_witness(adj):
+    def closes(x1, x4):
+        for a in (BLUE, RED):
+            if x1 not in adj[a.other][x4]:
+                continue
+            for y in adj[a][x1] - {x4}:
+                for w in adj[a.other][y] - {x1, x4}:
+                    if x4 in adj[a][w]:
+                        return True
+        return False
+
+    for x1 in range(len(adj[BLUE])):
+        for c1 in (BLUE, RED):
+            for x2 in sorted(adj[c1][x1]):
+                for x3 in sorted(adj[c1.other][x2] - {x1}):
+                    for x4 in sorted(adj[c1][x3] - {x1, x2}):
+                        if not closes(x1, x4):
+                            return (x1, x2, x3, x4)
+    return None
+
+
+def ref_closure_2m(g, seed):
+    """`closure_2m`'s policy run on set adjacency; returns the adjacency."""
+    rng = random.Random(seed)
+    adj = set_adjacency(g)
+    while violations := ref_violations(adj, mono=True):
+        v = violations[0]
+        c = BLUE if rng.getrandbits(1) else RED
+        adj[c][v.x1].add(v.x3)
+        adj[c][v.x3].add(v.x1)
+    return adj
+
+
+def ref_alternating_path(adj, x, y, first, last):
+    path = [x]
+    on_path = {x}
+
+    def dfs(v, need):
+        for u in sorted(adj[need][v]):
+            if u in on_path:
+                continue
+            if u == y:
+                if need is last:
+                    cols = tuple(first if k % 2 == 0 else first.other for k in range(len(path)))
+                    return AltPath(tuple(path) + (y,), cols)
+                continue
+            path.append(u)
+            on_path.add(u)
+            found = dfs(u, need.other)
+            if found is not None:
+                return found
+            path.pop()
+            on_path.remove(u)
+        return None
+
+    return dfs(x, first)
+
+
+def test_mask_scanners_match_set_reference():
+    closures = 0
+    for seed in range(2000):
+        g = ac.gen_random(2 + seed % 19, seed, 0.05 + 0.55 * (seed % 12) / 11)
+        adj = set_adjacency(g)
+        assert g.edges() == ref_edges(g)
+        assert ac.two_m_violations(g) == ref_violations(adj, mono=True)
+        assert ac.two_nm_violations(g) == ref_violations(adj, mono=False)
+        assert closed_alternating_witness(g) == ref_closed_alternating_witness(adj)
+        if seed % 13 < 2:
+            closures += 1
+            closed = ac.closure_2m(g, seed)
+            ref_adj = ref_closure_2m(g, seed)
+            assert set_adjacency(closed) == ref_adj
+            if g.n <= 14:  # the reference's full scan of a closed graph is slow
+                assert closed_alternating_witness(closed) == ref_closed_alternating_witness(ref_adj)
+    assert closures == 308
+
+
+def test_path_search_matches_recursive_reference():
+    answers = 0
+    for seed in range(1500):
+        g = ac.gen_random(3 + seed % 10, seed, 0.1 + 0.3 * (seed % 7) / 6)
+        adj = set_adjacency(g)
+        for x in range(g.n):
+            for y in range(g.n):
+                if x == y:
+                    continue
+                for first in (BLUE, RED):
+                    for last in (BLUE, RED):
+                        got = ac.exists_alternating_path(g, x, y, first, last)
+                        assert got == ref_alternating_path(adj, x, y, first, last)
+                        answers += 1
+    assert answers > 300_000
+
+
+def test_path_search_is_not_recursive():
+    # the 1200-vertex alternating cycle: the red-first (0, 1)-path goes all
+    # the way round, 1199 edges deep
+    g = ac.empty(1200)
+    ring(g, 0, 600)
+    p = ac.exists_alternating_path(g, 0, 1, RED, RED)
+    assert p is not None and p.holds_in(g)
+    assert p.vertices == (0, *range(1199, 0, -1))
+    with pytest.raises(OutOfRangeError):
+        ac.exists_alternating_path(g, 0, 1200, RED, RED)
