@@ -111,6 +111,7 @@ def test_parse_text():
         "n 2\nq 0 1\n",
         "n 2\ne 0 B\n",
         f"n {MAX_VERTICES + 1}\n",  # rejected before any allocation
+        "n 100001\n",  # the former limit + 1: far above the limit
     ],
 )
 def test_parse_errors(text):
