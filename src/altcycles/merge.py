@@ -3,10 +3,11 @@
 Merging two alternating cycles follows the case analysis of the
 characterization, in order: a good pair of edges, the explicit mixed-color
 star cycle, an explicit chord-based cycle, and finally a color-domination
-verdict. Each constructive step builds the candidate vertex sequence and
-validates it against the graph, so every outcome is checked, never assumed.
-A pair that fits no pattern exposes a 2-M closure violation
-(`Inapplicable`); on a 2-M-closed graph it raises `StructureViolation`.
+verdict. Each verdict is verified, and the route to it is not re-checked:
+a merged cycle is validated against the graph by
+`cycle_from_vertex_sequence`, and a domination by `color_dominates`. A
+pair that yields neither exposes a 2-M closure violation (`Inapplicable`);
+on a 2-M-closed graph it raises `StructureViolation`.
 The solver's domination digraph is read off the verdicts of its last sweep
 over the cycle pairs; nothing recomputes them. Every path is polynomial:
 nothing here searches exhaustively.
@@ -16,7 +17,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
 
 from .cycles import (
     AltCycle,
@@ -173,26 +173,19 @@ def _orient(cycle: AltCycle, v: int, color: Color) -> AltCycle:
 
 
 def appropriately_label(
-    g: ColoredMultigraph,
-    c1: AltCycle,
-    c2: AltCycle,
-    edge: tuple[int, int],
-    color: Color | None = None,
+    g: ColoredMultigraph, c1: AltCycle, c2: AltCycle, edge: tuple[int, int]
 ) -> tuple[AltCycle, AltCycle]:
     """Relabel so the cross edge (x, y) starts both cycles and both first
-    cycle edges carry the cross edge's color."""
+    cycle edges carry the cross edge's color (Blue if it has both)."""
     x, y = edge
     if x not in c1.vertex_set():
         raise NotOnCycleError(f"vertex {x} not on first cycle")
     if y not in c2.vertex_set():
         raise NotOnCycleError(f"vertex {y} not on second cycle")
-    if color is None:
-        present = sorted(g.edge_colors(x, y), key=lambda c: c.value)
-        if not present:
-            raise MergeError(f"no edge between {x} and {y}")
-        color = present[0]
-    elif not g.has_edge_color(x, y, color):
-        raise MergeError(f"no {color.value} edge between {x} and {y}")
+    colors = g.edge_colors(x, y)
+    if not colors:
+        raise MergeError(f"no edge between {x} and {y}")
+    color = BLUE if BLUE in colors else RED
     return _orient(c1, x, color), _orient(c2, y, color)
 
 
@@ -237,31 +230,6 @@ def merge_good_pair(
     if merged is None:
         raise InvalidPairError(f"good pair {pair} does not yield an alternating cycle")
     return merged
-
-
-# ---------------------------------------------------------------------------
-# parallel-edge propagation
-
-
-def check_parallel_edges(
-    g: ColoredMultigraph, c1: AltCycle, c2: AltCycle
-) -> list[tuple[int, int, Color]] | None:
-    """Verify the cross edges [x_{1+k}, y_{1+k}] with alternating colors,
-    assuming appropriate labelling at (x_1, y_1) and no good pair.
-
-    Returns the edges on success, None at the first missing predicted edge.
-    """
-    m1, m2 = len(c1), len(c2)
-    x, y = c1.vertices, c2.vertices
-    base = c1.colors[0]
-    edges: list[tuple[int, int, Color]] = []
-    for k in range(lcm(m1, m2)):
-        ck = base if k % 2 == 0 else base.other
-        u, v = x[k % m1], y[k % m2]
-        if not g.has_edge_color(u, v, ck):
-            return None
-        edges.append((u, v, ck))
-    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +295,16 @@ def merge_pair(
 ) -> MergeOutcome:
     """Merge two disjoint alternating cycles or report why not.
 
-    The outcome variant is independent of the input labelling: the analysis
-    re-anchors at the lexicographically smallest cross edge.
+    The outcome is independent of rotating or reversing either cycle: the
+    analysis re-anchors at the lexicographically smallest cross edge. It is
+    not independent of the argument order: some pairs merge one way round
+    and raise the other.
     """
-    cross = sorted(
-        (u, v)
-        for u in c1.vertices
-        for v in c2.vertices
-        if g.has_edge_any(u, v)
+    anchor = min(
+        ((u, v) for u in c1.vertices for v in c2.vertices if g.has_edge_any(u, v)),
+        default=None,
     )
-    if not cross:
+    if anchor is None:
         return NotAdjacent()
 
     pair = find_good_pair(g, c1, c2)
@@ -345,68 +313,32 @@ def merge_pair(
         _note(trace, "merge good-pair")
         return Merged(merged)
 
-    anchor = cross[0]
     a, b = appropriately_label(g, c1, c2, anchor)
     base = a.colors[0]
-
-    # Cross completeness: with no good pair, a 2-M-closed graph has every
-    # cross pair adjacent; a gap means a closure violation.
-    if len(cross) != len(c1) * len(c2):
-        return _off_pattern(g, c1, c2)
-
-    if check_parallel_edges(g, a, b) is None:
-        return _off_pattern(g, c1, c2)
-
     x1 = a.vertices[0]
+    # mixed star: x1 sees c2's even class in both colors
     i_colors = [g.edge_colors(x1, b.vertices[j]) for j in range(0, len(b), 2)]
-    p_colors = [g.edge_colors(x1, b.vertices[j]) for j in range(1, len(b), 2)]
-
-    i_mixed = any(base in s for s in i_colors) and any(base.other in s for s in i_colors)
-    p_mixed = any(base in s for s in p_colors) and any(base.other in s for s in p_colors)
-
-    if i_mixed:
+    if any(base in s for s in i_colors) and any(base.other in s for s in i_colors):
         merged = _merge_mixed_star(g, a, b, base)
         if merged is not None:
             _note(trace, "merge mixed-star")
             return Merged(merged)
         return _off_pattern(g, c1, c2)
 
-    if p_mixed:
-        # this configuration always yields a good pair via parallel
-        # alternation; reaching it with none found means a degenerate cycle
-        return _off_pattern(g, c1, c2)
-
-    # monochromatic classes at x1; normalize so all x1 -> c2 edges share one
-    # color, interchanging the cycles when the classes differ
-    swapped = any(base.other in s for s in p_colors)
+    # monochromatic star at x1: when x1 sees c2's odd class in the other
+    # color, interchange the cycles so the candidate dominator comes first
+    swapped = any(
+        g.has_edge_color(x1, b.vertices[j], base.other) for j in range(1, len(b), 2)
+    )
     if swapped:
         a, b = b, a
-
-    # parallel alternation spreads a monochromatic star at x1: I-class cross
-    # edges (x1 among them) carry only `base`, P-class ones only the other color
-    for u in a.i_set:
-        for v in b.vertices:
-            if g.edge_colors(u, v) != {base}:
-                return _off_pattern(g, c1, c2)
-    for u in a.p_set:
-        for v in b.vertices:
-            if g.edge_colors(u, v) != {base.other}:
-                return _off_pattern(g, c1, c2)
-
-    # closure forces both internal classes of the dominating cycle complete
-    for cls in (sorted(a.i_set), sorted(a.p_set)):
-        for s in range(len(cls)):
-            for t in range(s + 1, len(cls)):
-                if not g.has_edge_any(cls[s], cls[t]):
-                    return _off_pattern(g, c1, c2)
 
     merged = _merge_chord(g, a, b, base)
     if merged is not None:
         _note(trace, "merge chord")
         return Merged(merged)
 
-    # monochromatic star with no usable chord: the configuration matches the
-    # color-domination pattern, so a dominates b
+    # no usable chord: a domination verdict, if `color_dominates` confirms it
     source, (dominant, dominated) = (2, (c2, c1)) if swapped else (1, (c1, c2))
     d = color_dominates(g, dominant, dominated)
     if d is None:
@@ -573,13 +505,10 @@ def merge_domination_triangle(
 
     A monochromatic triangle concatenates all three cycles forward; a mixed
     triangle (rotated so the odd-colored arc comes last) traverses the third
-    cycle in reverse.
+    cycle in reverse. The arc colors are taken as given: they come from
+    verified `Dominates` verdicts, and the merged cycle is validated.
     """
     cycles = [c1, c2, c3]
-    for t in range(3):
-        if color_dominates(g, cycles[t], cycles[(t + 1) % 3]) is not colors[t]:
-            raise InvalidTriangleError(f"domination {t} -> {(t + 1) % 3} rechecked false")
-
     if colors[0] is colors[1] is colors[2]:
         a = colors[0]
         o1, o2, o3 = (_orient_first(c, a) for c in cycles)

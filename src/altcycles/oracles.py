@@ -7,7 +7,15 @@ from .cycles import (
     cycle_from_vertex_sequence,
     decode_cycles,
 )
-from .graph import BLUE, RED, Color, ColoredMultigraph, induced_subgraph
+from .graph import (
+    BLUE,
+    RED,
+    Color,
+    ColoredMultigraph,
+    OutOfRangeError,
+    bits,
+    induced_subgraph,
+)
 from .predicates import AltPath
 
 
@@ -31,7 +39,7 @@ def oracle_hamiltonian(g: ColoredMultigraph) -> AltCycle | None:
                 cols = tuple(first if k % 2 == 0 else first.other for k in range(n))
                 return AltCycle(tuple(seq), cols)
             return None
-        for u in sorted(g.neighbors_by_color(v, need)):
+        for u in bits(g.masks(need)[v]):
             if used[u]:
                 continue
             used[u] = True
@@ -73,7 +81,7 @@ def oracle_factor(
         v, color = slots[k]
         if partner[color][v] is not None:
             return fill(k + 1)
-        for u in sorted(g.neighbors_by_color(v, color)):
+        for u in bits(g.masks(color)[v]):
             if partner[color][u] is not None:
                 continue
             if not allow_two_cycles and partner[color.other][v] == u:
@@ -100,6 +108,9 @@ def oracle_alt_path(
     (x, y)-paths ignoring colors, then test the forced color schedule."""
     if x == y:
         raise ValueError("endpoints must differ")
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise OutOfRangeError(f"endpoints {x}, {y} outside 0..{g.n - 1}")
+    blue, red = g.masks(BLUE), g.masks(RED)
     stack = [x]
     on = {x}
 
@@ -107,7 +118,7 @@ def oracle_alt_path(
         if v == y:
             yield list(stack)
             return
-        for u in sorted(g.neighbors_any(v)):
+        for u in bits(blue[v] | red[v]):
             if u in on:
                 continue
             stack.append(u)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import altcycles as ac
-from altcycles import BLUE, RED, AltCycle, ColoredMultigraph
+from altcycles import BLUE, RED, AltCycle, Color, ColoredMultigraph
+from altcycles.cycles import cycle_from_vertex_sequence
 
 
 def ring(g: ColoredMultigraph, offset: int, half: int, first=BLUE) -> AltCycle:
@@ -97,6 +99,33 @@ def two_cycle_gap_graph() -> ColoredMultigraph:
         "e 2 3 B\ne 2 3 R\ne 2 4 R\ne 2 5 B\ne 3 4 R\ne 3 5 B\n"
         "e 4 5 B\ne 4 5 R\n"
     )
+
+
+def complete_coloring(n: int, letters: str) -> ColoredMultigraph:
+    """The complete graph on range(n), one edge per pair, colored by
+    `letters` ("B"/"R") in `combinations(range(n), 2)` order."""
+    g = ac.empty(n)
+    for (u, v), letter in zip(combinations(range(n), 2), letters, strict=True):
+        g.add_edge(u, v, Color.from_letter(letter))
+    return g
+
+
+def G8() -> tuple[ColoredMultigraph, list[AltCycle]]:
+    """2-M-closed, with an alternating Hamiltonian cycle; returns the graph
+    and the factor [A, B] of two red-first 4-cycles, A = 0..3, B = 4..7.
+    The solver merges (A, B) by a chord but raises on (B, A)."""
+    g = complete_coloring(8, "RRBRBRRBRRBBBRRRRBBBRBRRBBRR")
+    return g, [cycle_from_vertex_sequence(g, span) for span in (range(4), range(4, 8))]
+
+
+def G12() -> tuple[ColoredMultigraph, list[AltCycle]]:
+    """2-M-closed; returns the graph and the factor [ring 4..11 red-first,
+    ring 0..3 blue-first], which merges by the long arm of the mixed star
+    (the first cycle is the longer)."""
+    g = complete_coloring(
+        12, "BRRBBRBBBRBRRRBRRRBRRBRBBBRBBBRRRBRRRBRRRRRRBBRRRRRRRRRRBRRRRRRBRR"
+    )
+    return g, [cycle_from_vertex_sequence(g, span) for span in (range(4, 12), range(4))]
 
 
 def small_corpus(count: int, sizes=range(4, 9), seed0: int = 0):

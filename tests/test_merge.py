@@ -26,11 +26,12 @@ from altcycles.merge import (
     NotOnCycleError,
     StructureViolation,
     appropriately_label,
-    check_parallel_edges,
     merge_domination_triangle,
     merge_pair,
 )
 from conftest import (
+    G8,
+    G12,
     complete_within,
     dominate,
     domination_pair_graph,
@@ -85,8 +86,8 @@ def test_appropriately_label_explicit_color():
     c1 = ring(g, 0, 2)
     c2 = ring(g, 4, 2)
     g.add_edge(0, 4, BLUE).add_edge(0, 4, RED)
-    a, b = appropriately_label(g, c1, c2, (0, 4), RED)
-    assert a.colors[0] is RED and b.colors[0] is RED
+    a, b = appropriately_label(g, c1, c2, (0, 4))
+    assert a.colors[0] is BLUE and b.colors[0] is BLUE  # Blue when both
     with pytest.raises(MergeError):
         appropriately_label(g, c1, c2, (1, 5))
     with pytest.raises(NotOnCycleError):
@@ -228,16 +229,6 @@ def test_merge_pair_chord_inside_odd_class():
     assert out.cycle.vertex_set() == set(range(10))
 
 
-def test_check_parallel_edges_full_propagation():
-    g, c1, c2 = domination_pair_graph()
-    a, b = appropriately_label(g, c1, c2, (0, 6))
-    edges = check_parallel_edges(g, a, b)
-    assert edges is not None and len(edges) == 12  # lcm(6, 4)
-    for k, (u, v, color) in enumerate(edges):
-        assert g.has_edge_color(u, v, color)
-        assert color is (BLUE if k % 2 == 0 else RED)
-
-
 def test_merge_pair_closure_violation_witness():
     # maximally sparse join: single cross edge, nothing else
     g = ac.empty(8)
@@ -334,32 +325,59 @@ def test_digraph_source():
     assert (src, color) == (0, BLUE)
 
 
+def record_merge_calls(monkeypatch) -> list:
+    """Make the solver's merge_pair log (g, c1, c2, outcome) per call into
+    the returned list."""
+    calls = []
+
+    def recording(g, c1, c2, trace=None):
+        outcome = merge_pair(g, c1, c2, trace)
+        calls.append((g, c1, c2, outcome))
+        return outcome
+
+    monkeypatch.setattr("altcycles.merge.merge_pair", recording)
+    return calls
+
+
+def solve_planted(seeds) -> None:
+    for seed in seeds:
+        g, cycles = planted_instance(seed)
+        with contextlib.suppress(StructureViolation):  # the open 2-cycle gap
+            ac.solve_from_factor(g, cycles)
+
+
 def test_dominates_verdicts_are_one_way_and_match_the_first_edge(monkeypatch):
     """Why the digraph takes merge_pair's Dominates verdicts unchecked: over
     whole-solver runs, the reverse pair never dominates, and the edge
     between the two first vertices carries exactly the arc's color."""
-    seen = []
-
-    def recording(g, c1, c2, trace=None):
-        outcome = merge_pair(g, c1, c2, trace)
-        if isinstance(outcome, Dominates):
-            src, dst = (c1, c2) if outcome.source == 1 else (c2, c1)
-            seen.append((g, src, dst, outcome.color))
-        return outcome
-
-    monkeypatch.setattr("altcycles.merge.merge_pair", recording)
-    for seed in range(300):
-        g, cycles = planted_instance(seed)
-        with contextlib.suppress(StructureViolation):  # the open 2-cycle gap
-            ac.solve_from_factor(g, cycles)
-    planted = len(seen)
+    calls = record_merge_calls(monkeypatch)
+    solve_planted(range(300))
+    planted = sum(isinstance(outcome, Dominates) for *_, outcome in calls)
     for g in solve_corpus_graphs(seed=1):
         with contextlib.suppress(StructureViolation):
             ac.solve_hamiltonian(g)
+    seen = [call for call in calls if isinstance(call[3], Dominates)]
     assert planted and len(seen) > planted
-    for g, src, dst, color in seen:
+    for g, c1, c2, outcome in seen:
+        src, dst = (c1, c2) if outcome.source == 1 else (c2, c1)
         assert ac.color_dominates(g, dst, src) is None
-        assert g.edge_colors(src.vertices[0], dst.vertices[0]) == {color}
+        assert g.edge_colors(src.vertices[0], dst.vertices[0]) == {outcome.color}
+
+
+def test_merge_pair_verdict_kind_ignores_argument_order(monkeypatch):
+    """Guards the route merge_pair no longer re-checks: on the pairs the
+    solver sweeps, swapping the arguments keeps the verdict kind, and a
+    domination keeps its dominating cycle and color."""
+    calls = record_merge_calls(monkeypatch)
+    solve_planted(range(300))
+    kinds = Counter(type(outcome).__name__ for *_, outcome in calls)
+    assert {"Merged", "Dominates", "NotAdjacent"} <= set(kinds)
+    for g, c1, c2, outcome in calls:
+        swapped = merge_pair(g, c2, c1)
+        if isinstance(outcome, Dominates):
+            assert swapped == Dominates(3 - outcome.source, outcome.color)
+        else:
+            assert type(swapped) is type(outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +493,22 @@ def test_two_cycle_factor_gap():
         ac.solve_hamiltonian(g)
 
 
+def test_merge_argument_order_gap():
+    """Open defect: merge_pair's outcome depends on the argument order.
+
+    G8 is 2-M-closed and has an alternating Hamiltonian cycle, and its
+    factor has two 4-cycles, no 2-cycle. Given (A, B) the solver merges them
+    by a chord; given (B, A) it finds no merge pattern and raises.
+    """
+    g, (a, b) = G8()
+    assert ac.is_2m_closed(g)
+    assert ac.oracle_hamiltonian(g) is not None
+    assert len(a) == len(b) == 4
+    assert isinstance(ac.solve_from_factor(g, [a, b]), HamiltonianCycle)
+    with pytest.raises(StructureViolation, match="^no merge pattern on a 2-M-closed graph$"):
+        ac.solve_from_factor(g, [b, a])
+
+
 def test_solve_from_factor_rejects_non_factor():
     g, c1, c2 = domination_pair_graph()
     for cycles in ([], [c1], [c1, c1, c2]):
@@ -530,8 +564,10 @@ RULE_CASES = [
         for colors in TRIANGLE_COLORS
     ),
     ("mixed-star", _closed_mixed_star_graph, ["merge mixed-star"]),
+    ("mixed-star-long-arm", G12, ["merge mixed-star"]),
     ("chord-even-class", lambda: _chord_graph(0, 4, RED), ["merge chord"]),
     ("chord-odd-class", lambda: _chord_graph(1, 5, BLUE), ["merge chord"]),
+    ("chord-G8", G8, ["merge chord"]),
     ("certificate", not_color_connected_graph, ["dominate 1 2 B"] * 3),
 ]
 
@@ -577,7 +613,7 @@ def planted_instance(seed: int):
 
 def test_solve_from_factor_on_planted_factors():
     """Whole-solver runs reach every constructive rule but the mixed star
-    (only its fixture above reaches it) and agree with the oracle, except on
+    (only the fixtures above reach it) and agree with the oracle, except on
     the open 2-cycle gap (test_two_cycle_factor_gap)."""
     rules: Counter[str] = Counter()
     verdicts: Counter[str] = Counter()

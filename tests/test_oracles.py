@@ -2,10 +2,12 @@ from __future__ import annotations
 
 from itertools import permutations
 
+import pytest
+
 import altcycles as ac
 from altcycles import BLUE, RED
 from altcycles.cycles import cycle_from_vertex_sequence
-from altcycles.graph import induced_subgraph
+from altcycles.graph import OutOfRangeError, induced_subgraph
 from conftest import ring
 
 
@@ -66,6 +68,9 @@ def test_oracle_alt_path_basics():
     p = ac.oracle_alt_path(g, 0, 3, BLUE, BLUE)
     assert p is not None and p.holds_in(g)
     assert ac.oracle_alt_path(g, 0, 3, RED, BLUE) is None
+    for x, y in ((-1, 3), (0, 4)):  # endpoints are range-checked, never wrapped
+        with pytest.raises(OutOfRangeError):
+            ac.oracle_alt_path(g, x, y, BLUE, BLUE)
 
 
 def test_oracle_merge_covers_both_cycles():
