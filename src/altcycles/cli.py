@@ -8,7 +8,7 @@ import sys
 from . import generate, oracles
 from .cycles import AltCycle, CycleFactor
 from .factor import find_alternating_cycle_factor
-from .graph import BLUE, RED, ColoredMultigraph, ParseError, parse_text, serialize_text
+from .graph import BLUE, ColoredMultigraph, ParseError, parse_text, serialize_text
 from .merge import (
     HamiltonianCycle,
     MergeError,

@@ -8,9 +8,10 @@ a merged cycle is validated against the graph by
 `cycle_from_vertex_sequence`, and a domination by `color_dominates`. A
 pair that yields neither exposes a 2-M closure violation (`Inapplicable`);
 on a 2-M-closed graph it raises `StructureViolation`.
-The solver's domination digraph is read off the verdicts of its last sweep
-over the cycle pairs; nothing recomputes them. Every path is polynomial:
-nothing here searches exhaustively.
+The solver certifies a disconnected cycle adjacency first, so its
+domination digraph, read off the verdicts of its last sweep over the cycle
+pairs, spans one connected component; nothing recomputes the verdicts.
+Every path is polynomial: nothing here searches exhaustively.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .cycles import (
     validate_cycle,
     validate_factor,
 )
-from .graph import BLUE, RED, Color, ColoredMultigraph
+from .graph import BLUE, RED, Color, ColoredMultigraph, bits
 
 # Not called here: the benchmark's tracer hooks `altcycles.merge.oracle_merge`
 # to show that the solver never searches exhaustively (its count reads 0).
@@ -237,8 +238,10 @@ def merge_good_pair(
 
 
 def color_dominates(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> Color | None:
-    """Blue/Red when c1 color-dominates c2 per the six-condition definition
-    (read with the cycles as labelled), else None."""
+    """Blue/Red when c1 color-dominates the disjoint cycle c2 per the
+    six-condition definition (read with the cycles as labelled), else None:
+    c1's even-position class is complete in that color, and joined to all of
+    c2 in it alone; its odd-position class likewise in the other color."""
     for color in (BLUE, RED):
         if _dominates_with(g, c1, c2, color):
             return color
@@ -248,39 +251,17 @@ def color_dominates(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> Color |
 def _dominates_with(
     g: ColoredMultigraph, c1: AltCycle, c2: AltCycle, color: Color
 ) -> bool:
-    i_set, p_set = sorted(c1.i_set), sorted(c1.p_set)
-    c2_verts = c2.vertices
-    # complete cross adjacency
-    for u in c1.vertices:
-        for v in c2_verts:
-            if not g.has_edge_any(u, v):
-                return False
-    # internal classes complete and monochromatic
-    if not _class_monochromatic(g, i_set, color):
-        return False
-    if not _class_monochromatic(g, p_set, color.other):
-        return False
-    # cross classes monochromatic
-    for u in i_set:
-        for v in c2_verts:
-            if not g.has_edge_color(u, v, color) or g.has_edge_color(u, v, color.other):
-                return False
-    for u in p_set:
-        for v in c2_verts:
-            if not g.has_edge_color(u, v, color.other) or g.has_edge_color(u, v, color):
+    for cls, c in ((c1.vertices[0::2], color), (c1.vertices[1::2], color.other)):
+        own, other = g.masks(c), g.masks(c.other)
+        want = _mask(cls) | _mask(c2.vertices)
+        for u in cls:
+            if (own[u] | 1 << u) & want != want or other[u] & want:
                 return False
     return True
 
 
-def _class_monochromatic(
-    g: ColoredMultigraph, vertices: list[int], color: Color
-) -> bool:
-    for a in range(len(vertices)):
-        for b in range(a + 1, len(vertices)):
-            u, v = vertices[a], vertices[b]
-            if not g.has_edge_color(u, v, color) or g.has_edge_color(u, v, color.other):
-                return False
-    return True
+def _mask(vertices: Iterable[int]) -> int:
+    return sum(1 << v for v in vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +298,8 @@ def merge_pair(
     base = a.colors[0]
     x1 = a.vertices[0]
     # mixed star: x1 sees c2's even class in both colors
-    i_colors = [g.edge_colors(x1, b.vertices[j]) for j in range(0, len(b), 2)]
-    if any(base in s for s in i_colors) and any(base.other in s for s in i_colors):
+    even = _mask(b.vertices[0::2])
+    if g.masks(base)[x1] & even and g.masks(base.other)[x1] & even:
         merged = _merge_mixed_star(g, a, b, base)
         if merged is not None:
             _note(trace, "merge mixed-star")
@@ -327,9 +308,7 @@ def merge_pair(
 
     # monochromatic star at x1: when x1 sees c2's odd class in the other
     # color, interchange the cycles so the candidate dominator comes first
-    swapped = any(
-        g.has_edge_color(x1, b.vertices[j], base.other) for j in range(1, len(b), 2)
-    )
+    swapped = g.masks(base.other)[x1] & _mask(b.vertices[1::2]) != 0
     if swapped:
         a, b = b, a
 
@@ -442,12 +421,12 @@ def build_domination_digraph(
     """Digraph on `size` factor cycles with a colored arc per `Dominates`
     among `merge_pair`'s verdicts on the pairs (i, j), i < j.
 
-    Verifies the structural guarantees available before triangle elimination:
-    every other verdict is `NotAdjacent`, out-stars are monochromatic, and
-    each component is a tournament. Acyclicity is established by the driver,
-    which merges any directed triangle first. Arcs need no recheck: if c1
-    dominates c2, each vertex of c2 sees both colors from c1, so c2 cannot
-    dominate c1.
+    Precondition: the cycles' adjacency is connected (`solve_from_factor`
+    certifies it first), so the digraph must be a tournament. Verifies the
+    structural guarantees available before triangle elimination: every
+    verdict is `Dominates`, and out-stars are monochromatic. Acyclicity is established by the driver, which merges any directed
+    triangle first. Arcs need no recheck: if c1 dominates c2, each vertex of
+    c2 sees both colors from c1, so c2 cannot dominate c1.
     """
     arcs: dict[tuple[int, int], Color] = {}
     for (i, j), verdict in verdicts.items():
@@ -459,39 +438,10 @@ def build_domination_digraph(
         colors = {c for (s, _t), c in arcs.items() if s == i}
         if len(colors) > 1:
             raise StructureViolation("out-arcs of one cycle differ in color", (i,))
-    # tournament on connected adjacency components
-    comps = _components(arcs, size)
-    for comp in comps:
-        members = sorted(comp)
-        for s in range(len(members)):
-            for t in range(s + 1, len(members)):
-                i, j = members[s], members[t]
-                if (i, j) not in arcs and (j, i) not in arcs:
-                    raise StructureViolation("component pair without arc", (i, j))
+    for pair, verdict in verdicts.items():
+        if isinstance(verdict, NotAdjacent):
+            raise StructureViolation("component pair without arc", pair)
     return DominationDigraph(size, arcs)
-
-
-def _adjacent(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> bool:
-    return any(
-        g.has_edge_any(u, v) for u in c1.vertices for v in c2.vertices
-    )
-
-
-def _components(arcs: dict[tuple[int, int], Color], l: int) -> list[set[int]]:
-    parent = list(range(l))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for (i, j) in arcs:
-        parent[find(i)] = find(j)
-    comps: dict[int, set[int]] = {}
-    for v in range(l):
-        comps.setdefault(find(v), set()).add(v)
-    return list(comps.values())
 
 
 def merge_domination_triangle(
@@ -560,6 +510,8 @@ def solve_hamiltonian(
     violations = two_m_violations(g)
     if violations:
         return NotTwoMClosed(violations[0])
+    # Imported at call time, not for an import cycle (there is none): the
+    # benchmark's tracer replaces `factor.find_alternating_cycle_factor`.
     from .factor import find_alternating_cycle_factor
 
     factor = find_alternating_cycle_factor(g)
@@ -587,10 +539,9 @@ def solve_from_factor(
     cycles = list(cycles)
     if not cycles or not validate_factor(g, CycleFactor(tuple(cycles))):
         raise ValueError("cycles are not an alternating cycle factor of g")
-    if len(cycles) > 1:
-        cert = _disconnected_certificate(g, cycles)
-        if cert is not None:
-            return NotColorConnected(cert)
+    cert = _disconnected_certificate(g, cycles)
+    if cert is not None:
+        return NotColorConnected(cert)
     while len(cycles) > 1:
         verdicts: dict[tuple[int, int], MergeOutcome] = {}
         for i, j in combinations(range(len(cycles)), 2):
@@ -639,24 +590,24 @@ def _disconnected_certificate(
     g: ColoredMultigraph, cycles: list[AltCycle]
 ) -> NotColorConnectedCert | None:
     """A disconnected cycle-adjacency graph is never color-connected: no
-    alternating path leaves a component at all."""
-    l = len(cycles)
-    arcs = {}
-    for i in range(l):
-        for j in range(i + 1, l):
-            if _adjacent(g, cycles[i], cycles[j]):
-                arcs[(i, j)] = BLUE
-    comps = _components(arcs, l)
-    if len(comps) <= 1:
+    alternating path leaves a component at all. Each cycle is connected and
+    the cycles span g, so that graph is connected exactly when g is; the
+    target is taken from the first cycle the search from cycles[0] misses."""
+    blue, red = g.masks(BLUE), g.masks(RED)
+    seen = frontier = 1 << cycles[0].vertices[0]
+    while frontier:
+        reach = 0
+        for v in bits(frontier):
+            reach |= blue[v] | red[v]
+        frontier = reach & ~seen
+        seen |= frontier
+    missed = next((c for c in cycles if not seen >> c.vertices[0] & 1), None)
+    if missed is None:
         return None
-    first = min(comps, key=min)
-    c0 = cycles[min(first)]
-    other_comp = next(c for c in comps if c is not first)
-    target_cycle = cycles[min(other_comp)]
     return NotColorConnectedCert(
-        cycle=c0,
-        vertex=min(c0.i_set),
-        target=min(target_cycle.vertex_set()),
+        cycle=cycles[0],
+        vertex=min(cycles[0].i_set),
+        target=min(missed.vertices),
         start_color=BLUE,
         domination_color=None,
     )

@@ -118,6 +118,15 @@ def G8() -> tuple[ColoredMultigraph, list[AltCycle]]:
     return g, [cycle_from_vertex_sequence(g, span) for span in (range(4), range(4, 8))]
 
 
+def G8b() -> tuple[ColoredMultigraph, list[AltCycle]]:
+    """2-M-closed and color-connected, with the alternating Hamiltonian
+    cycle 0 1 4 5 2 3 6 7; returns the graph and its factor [A, B] of two
+    blue-first 4-cycles, A = 0..3, B = 4..7. The solver raises on the pair
+    in both orders."""
+    g = complete_coloring(8, "BRRRBRRRBRBBBBRRRBBBRBBRRRBB")
+    return g, [cycle_from_vertex_sequence(g, span) for span in (range(4), range(4, 8))]
+
+
 def G12() -> tuple[ColoredMultigraph, list[AltCycle]]:
     """2-M-closed; returns the graph and the factor [ring 4..11 red-first,
     ring 0..3 blue-first], which merges by the long arm of the mixed star

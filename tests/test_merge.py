@@ -23,6 +23,7 @@ from altcycles.cycles import cycle_from_vertex_sequence
 from altcycles.merge import (
     InvalidPairError,
     MergeError,
+    NotColorConnectedCert,
     NotOnCycleError,
     StructureViolation,
     appropriately_label,
@@ -31,6 +32,7 @@ from altcycles.merge import (
 )
 from conftest import (
     G8,
+    G8b,
     G12,
     complete_within,
     dominate,
@@ -201,6 +203,50 @@ def test_merge_pair_domination_verdict():
     assert ac.merge_pair(g, c2, c1) == Dominates(source=2, color=BLUE)
 
 
+def _class_monochromatic(g, vertices, color):
+    for a in range(len(vertices)):
+        for b in range(a + 1, len(vertices)):
+            u, v = vertices[a], vertices[b]
+            if not g.has_edge_color(u, v, color) or g.has_edge_color(u, v, color.other):
+                return False
+    return True
+
+
+def _dominates_with(g, c1, c2, color):
+    """The domination definition read pair by pair: the reference for the
+    mask form in `color_dominates`."""
+    i_set, p_set = sorted(c1.i_set), sorted(c1.p_set)
+    for u in c1.vertices:
+        for v in c2.vertices:
+            if not g.has_edge_any(u, v):
+                return False
+    if not _class_monochromatic(g, i_set, color):
+        return False
+    if not _class_monochromatic(g, p_set, color.other):
+        return False
+    for cls, c in ((i_set, color), (p_set, color.other)):
+        for u in cls:
+            for v in c2.vertices:
+                if not g.has_edge_color(u, v, c) or g.has_edge_color(u, v, c.other):
+                    return False
+    return True
+
+
+def test_color_dominates_matches_pairwise_reference():
+    seen: Counter = Counter()
+    for seed in range(300):
+        g, cycles = planted_instance(seed)
+        rng = random.Random(seed)
+        for _ in range(rng.randint(0, 3)):
+            u, v = rng.sample(range(g.n), 2)
+            g.add_edge(u, v, rng.choice((BLUE, RED)))
+        for c1, c2 in permutations(cycles, 2):
+            expected = next((c for c in (BLUE, RED) if _dominates_with(g, c1, c2, c)), None)
+            assert ac.color_dominates(g, c1, c2) is expected
+            seen[expected] += 1
+    assert set(seen) == {BLUE, RED, None}
+
+
 def test_merge_pair_label_invariant():
     g, c1, c2 = domination_pair_graph()
     base = ac.merge_pair(g, c1, c2)
@@ -314,6 +360,20 @@ def test_digraph_requires_domination_between_adjacent_cycles():
     g.add_edge(0, 4, RED)  # adjacent but no domination either way
     with pytest.raises(StructureViolation, match="^adjacent cycles with no domination$"):
         digraph_of(g, [c1, c2])
+
+
+def test_digraph_requires_a_tournament():
+    """A pair with no arc raises, first in verdict order; the verdicts must
+    span one connected adjacency component, so a lone `NotAdjacent` raises
+    too."""
+    dom = Dominates(1, BLUE)
+    for verdicts, offenders in (
+        ({(0, 1): dom, (0, 2): dom, (1, 2): NotAdjacent()}, (1, 2)),
+        ({(0, 1): NotAdjacent()}, (0, 1)),
+    ):
+        with pytest.raises(StructureViolation, match="^component pair without arc$") as info:
+            ac.build_domination_digraph(3, verdicts)
+        assert info.value.offenders == offenders
 
 
 def test_digraph_source():
@@ -440,6 +500,25 @@ def test_solve_disconnected_factor():
         )
 
 
+@pytest.mark.parametrize("joined, target", [(False, 8), (True, 0)])
+def test_disconnected_certificate_fields(joined, target):
+    """Three rings, the first given rotated and not holding vertex 0: the
+    certificate starts at the least even-position vertex of the first cycle
+    and targets the least vertex of the first cycle it cannot reach."""
+    g = ac.empty(12)
+    a, b, c = ring(g, 0, 2), ring(g, 4, 2, RED), ring(g, 8, 2)
+    if joined:
+        g.add_edge(5, 10, BLUE)
+    first = b.rotate(1)
+    assert first.vertices == (5, 6, 7, 4)
+    result = ac.solve_from_factor(g, [first, c.rotate(1), a])
+    assert result == NotColorConnected(
+        NotColorConnectedCert(
+            cycle=first, vertex=5, target=target, start_color=BLUE, domination_color=None
+        )
+    )
+
+
 def test_solve_rejects_non_spanning_merge(monkeypatch):
     g = ac.gen_complete(12, 0)
     assert len(ac.find_alternating_cycle_factor(g)) == 3
@@ -507,6 +586,27 @@ def test_merge_argument_order_gap():
     assert isinstance(ac.solve_from_factor(g, [a, b]), HamiltonianCycle)
     with pytest.raises(StructureViolation, match="^no merge pattern on a 2-M-closed graph$"):
         ac.solve_from_factor(g, [b, a])
+
+
+def test_merge_pair_no_pattern_in_either_order():
+    """Open defect: merge_pair finds no merge pattern on G8b in either order.
+
+    G8b is 2-M-closed, color-connected and has an alternating Hamiltonian
+    cycle; its factor has two 4-cycles, no 2-cycle. Trying the chord with
+    the other cycle dominating (the G8 repair) does not merge it either.
+    """
+    g, (a, b) = G8b()
+    assert ac.is_2m_closed(g)
+    assert ac.is_color_connected(g)
+    assert ac.find_alternating_cycle_factor(g) == ac.CycleFactor((a, b))
+    assert ac.oracle_hamiltonian(g).vertices == (0, 1, 4, 5, 2, 3, 6, 7)
+    for cycles in ([a, b], [b, a]):
+        with pytest.raises(
+            StructureViolation, match="^no merge pattern on a 2-M-closed graph$"
+        ):
+            ac.solve_from_factor(g, cycles)
+    with pytest.raises(StructureViolation, match="^no merge pattern on a 2-M-closed graph$"):
+        ac.solve_hamiltonian(g)
 
 
 def test_solve_from_factor_rejects_non_factor():

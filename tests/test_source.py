@@ -7,12 +7,19 @@ from pathlib import Path
 import altcycles
 
 
-def library_nodes():
+def library_sources():
+    """(file name, source lines, parsed module) per library module."""
     sources = sorted(Path(altcycles.__file__).parent.glob("*.py"))
     assert sources
     for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            yield path.name, node
+        text = path.read_text(encoding="utf-8")
+        yield path.name, text.splitlines(), ast.parse(text)
+
+
+def library_nodes():
+    for name, _lines, tree in library_sources():
+        for node in ast.walk(tree):
+            yield name, node
 
 
 def test_no_assert_in_library():
@@ -33,4 +40,26 @@ def test_adjacency_storage_stays_in_graph_module():
         for name, node in library_nodes()
         if name != "graph.py" and isinstance(node, ast.Attribute) and node.attr == "_adj"
     ]
+    assert found == []
+
+
+def test_no_unused_imports():
+    """Every imported name is read in its module, re-exported through the
+    package's `__all__`, or marked `# noqa: F401` beside its reason."""
+    found = []
+    for name, lines, tree in library_sources():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if name == "__init__.py":
+            used |= set(altcycles.__all__)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__" or any(
+                "# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]
+            ):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    found.append(f"{name}:{node.lineno}:{bound}")
     assert found == []
