@@ -62,6 +62,9 @@ class Color(Enum):
 BLUE = Color.BLUE
 RED = Color.RED
 
+# an edge record's color letter -> index into the graph's mask lists
+_COLOR_INDEX = {"B": 0, "R": 1}
+
 
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of `mask`, ascending."""
@@ -184,15 +187,40 @@ def parse_text(text: str) -> ColoredMultigraph:
     """Parse the edge-list format.
 
     `n <count>` first (at most MAX_VERTICES), then `e <u> <v> <B|R>` lines;
-    '#' starts a comment, blank lines are ignored.
+    '#' starts a comment that runs to the end of its line, blank lines are
+    ignored. Only `\n`, `\r\n` and `\r` end a line; other Unicode line
+    separators are whitespace inside one.
     """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":  # the terminator of the last line starts no line
+        lines.pop()
     g: ColoredMultigraph | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for line_no, raw in enumerate(lines, start=1):
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "n":
+        if parts[0] == "e":
+            if g is None:
+                raise ParseError("edge before 'n' record", line_no)
+            if len(parts) != 4:
+                raise ParseError("expected 'e <u> <v> <B|R>'", line_no)
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError("bad vertex index", line_no)
+            k = _COLOR_INDEX.get(parts[3])
+            if k is None:
+                raise ParseError(f"bad color {parts[3]!r}", line_no)
+            if u != v and 0 <= u < g.n and 0 <= v < g.n:
+                masks = g._adj[k]
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+                continue
+            try:  # a loop or an out-of-range vertex: add_edge names it
+                g.add_edge(u, v, (BLUE, RED)[k])
+            except (LoopError, OutOfRangeError) as exc:
+                raise ParseError(str(exc), line_no) from exc
+        elif parts[0] == "n":
             if g is not None:
                 raise ParseError("duplicate 'n' record", line_no)
             if len(parts) != 2:
@@ -206,27 +234,10 @@ def parse_text(text: str) -> ColoredMultigraph:
             if count > MAX_VERTICES:
                 raise ParseError(f"vertex count {count} exceeds {MAX_VERTICES}", line_no)
             g = ColoredMultigraph(count)
-        elif parts[0] == "e":
-            if g is None:
-                raise ParseError("edge before 'n' record", line_no)
-            if len(parts) != 4:
-                raise ParseError("expected 'e <u> <v> <B|R>'", line_no)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("bad vertex index", line_no)
-            try:
-                color = Color.from_letter(parts[3])
-            except ValueError:
-                raise ParseError(f"bad color {parts[3]!r}", line_no)
-            try:
-                g.add_edge(u, v, color)
-            except (LoopError, OutOfRangeError) as exc:
-                raise ParseError(str(exc), line_no) from exc
         else:
             raise ParseError(f"unknown record {parts[0]!r}", line_no)
     if g is None:
-        raise ParseError("missing 'n' record", max(1, len(text.splitlines())))
+        raise ParseError("missing 'n' record", max(1, len(lines)))
     return g
 
 

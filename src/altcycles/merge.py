@@ -26,7 +26,7 @@ from .cycles import (
     validate_cycle,
     validate_factor,
 )
-from .graph import BLUE, RED, Color, ColoredMultigraph, bits
+from .graph import BLUE, RED, Color, ColoredMultigraph, OutOfRangeError, bits
 
 # Not called here: the benchmark's tracer hooks `altcycles.merge.oracle_merge`
 # to show that the solver never searches exhaustively (its count reads 0).
@@ -281,11 +281,16 @@ def merge_pair(
     not independent of the argument order: some pairs merge one way round
     and raise the other.
     """
-    anchor = min(
-        ((u, v) for u in c1.vertices for v in c2.vertices if g.has_edge_any(u, v)),
-        default=None,
-    )
-    if anchor is None:
+    for v in c1.vertices + c2.vertices:
+        if not 0 <= v < g.n:
+            raise OutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
+    blue, red = g.masks(BLUE), g.masks(RED)
+    in_c2 = _mask(c2.vertices)
+    for u in sorted(c1.vertices):
+        if hit := (blue[u] | red[u]) & in_c2:
+            anchor = (u, (hit & -hit).bit_length() - 1)
+            break
+    else:
         return NotAdjacent()
 
     pair = find_good_pair(g, c1, c2)

@@ -57,10 +57,13 @@ def _open_two_paths(g: ColoredMultigraph, mono: bool) -> list[TwoPath]:
     blue, red = g.masks(BLUE), g.masks(RED)
     # second-edge masks after a blue and after a red first edge
     after_blue, after_red = (blue, red) if mono else (red, blue)
+    full = (1 << g.n) - 1
     out = []
     for x1 in range(g.n):
         b1, r1 = blue[x1], red[x1]
         closed = b1 | r1 | ((2 << x1) - 1)  # x1's neighbors and x3 <= x1
+        if not full & ~closed:  # no x3 left: skips every row of a complete graph
+            continue
         for x2 in bits(b1 | r1):
             from_b = after_blue[x2] & ~closed if b1 >> x2 & 1 else 0
             from_r = after_red[x2] & ~closed if r1 >> x2 & 1 else 0

@@ -231,6 +231,14 @@ def test_export_dot(capsys, write_graph):
     assert out.startswith("graph g {")
 
 
+def test_comment_hides_text_after_a_unicode_line_separator(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("n 2\n# see\u2028e 0 1 B\n", encoding="utf-8")
+    code, out, _ = run(capsys, "export-dot", str(path))
+    assert code == 0
+    assert out == export_dot(ac.empty(2)) and " -- " not in out
+
+
 def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "frobnicate")[0] == 64
     assert run(capsys, "check", str(tmp_path / "g.txt"))[0] == 64  # missing --predicate

@@ -19,7 +19,8 @@ from altcycles import (
     NotColorConnected,
     NotTwoMClosed,
 )
-from altcycles.cycles import cycle_from_vertex_sequence
+from altcycles.cycles import AltCycle, cycle_from_vertex_sequence
+from altcycles.graph import OutOfRangeError
 from altcycles.merge import (
     InvalidPairError,
     MergeError,
@@ -173,6 +174,15 @@ def test_merge_pair_not_adjacent():
     c1 = ring(g, 0, 2)
     c2 = ring(g, 4, 2)
     assert isinstance(ac.merge_pair(g, c1, c2), NotAdjacent)
+
+
+def test_merge_pair_rejects_vertices_outside_the_graph():
+    g = ac.empty(4)
+    c1 = ring(g, 0, 2)
+    for outside in (AltCycle((4, 5), (BLUE, RED)), AltCycle((-2, -1), (BLUE, RED))):
+        for pair in ((c1, outside), (outside, c1)):
+            with pytest.raises(OutOfRangeError):
+                ac.merge_pair(g, *pair)
 
 
 def test_merge_pair_mixed_star():

@@ -282,6 +282,26 @@ def test_mask_scanners_match_set_reference():
     assert closures == 308
 
 
+def test_two_m_scan_on_near_complete_graphs():
+    """Complete colorings skip every row of the 2-M scan; with a few edges
+    deleted, the rows that still reach a non-neighbor must be scanned."""
+    rng = random.Random(11)
+    open_paths = 0
+    for n in range(2, 41):
+        for s in range(8):
+            lines = ac.serialize_text(ac.gen_complete(n, 100 * n + s)).splitlines()
+            for _ in range(min(rng.randint(0, 3), len(lines) - 1)):
+                lines.pop(rng.randrange(1, len(lines)))
+            g = ac.parse_text("\n".join(lines))
+            got = ac.two_m_violations(g)
+            assert got == ref_violations(set_adjacency(g), mono=True)
+            if g.edge_count() == n * (n - 1) // 2:
+                assert got == []
+            else:
+                open_paths += got != []
+    assert open_paths > 200
+
+
 def test_path_search_matches_recursive_reference():
     answers = 0
     for seed in range(1500):
