@@ -49,11 +49,10 @@ class Color(Enum):
 
     @classmethod
     def from_letter(cls, letter: str) -> Color:
-        if letter == "B":
-            return cls.BLUE
-        if letter == "R":
-            return cls.RED
-        raise ValueError(f"unknown color letter {letter!r}")
+        color = _BY_LETTER.get(letter)
+        if color is None:
+            raise ValueError(f"unknown color letter {letter!r}")
+        return color
 
     def __repr__(self) -> str:  # keeps test output compact
         return self.value
@@ -61,9 +60,8 @@ class Color(Enum):
 
 BLUE = Color.BLUE
 RED = Color.RED
-
-# an edge record's color letter -> index into the graph's mask lists
-_COLOR_INDEX = {"B": 0, "R": 1}
+# letter -> color; a dict lookup is several times cheaper than Color(letter)
+_BY_LETTER = {c.value: c for c in Color}
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -95,14 +93,14 @@ class ColoredMultigraph:
 
     def add_edge(self, u: int, v: int, color: Color) -> ColoredMultigraph:
         """Insert the colored edge {u, v}; idempotent. Returns self."""
+        if u != v and 0 <= u < self.n and 0 <= v < self.n:
+            masks = self._adj[color is RED]
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+            return self
         self._check_vertex(u)
         self._check_vertex(v)
-        if u == v:
-            raise LoopError(f"loop at vertex {u}")
-        masks = self._adj[color is RED]
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-        return self
+        raise LoopError(f"loop at vertex {u}")
 
     def masks(self, color: Color) -> list[int]:
         """The neighbor bit masks of `color`, indexed by vertex: bit v of
@@ -208,16 +206,11 @@ def parse_text(text: str) -> ColoredMultigraph:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ParseError("bad vertex index", line_no)
-            k = _COLOR_INDEX.get(parts[3])
-            if k is None:
+            color = _BY_LETTER.get(parts[3])
+            if color is None:
                 raise ParseError(f"bad color {parts[3]!r}", line_no)
-            if u != v and 0 <= u < g.n and 0 <= v < g.n:
-                masks = g._adj[k]
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-                continue
-            try:  # a loop or an out-of-range vertex: add_edge names it
-                g.add_edge(u, v, (BLUE, RED)[k])
+            try:
+                g.add_edge(u, v, color)
             except (LoopError, OutOfRangeError) as exc:
                 raise ParseError(str(exc), line_no) from exc
         elif parts[0] == "n":

@@ -281,7 +281,9 @@ def merge_pair(
     not independent of the argument order: some pairs merge one way round
     and raise the other.
     """
-    for v in c1.vertices + c2.vertices:
+    # name the first vertex outside the graph that a scan of the cross pairs
+    # (u in c1, v in c2) meets: c1's first vertex, then c2's, then c1's rest
+    for v in (*c1.vertices[:1], *c2.vertices, *c1.vertices[1:]):
         if not 0 <= v < g.n:
             raise OutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
     blue, red = g.masks(BLUE), g.masks(RED)

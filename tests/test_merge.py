@@ -183,6 +183,11 @@ def test_merge_pair_rejects_vertices_outside_the_graph():
         for pair in ((c1, outside), (outside, c1)):
             with pytest.raises(OutOfRangeError):
                 ac.merge_pair(g, *pair)
+    # both cycles leave the graph: c1's first vertex, then c2, then c1's rest
+    low_bad, high_bad = AltCycle((1, 5), (BLUE, RED)), AltCycle((0, 9), (BLUE, RED))
+    for pair, named in (((high_bad, low_bad), 5), ((low_bad, high_bad), 9)):
+        with pytest.raises(OutOfRangeError, match=rf"^vertex {named} outside 0\.\.3$"):
+            ac.merge_pair(g, *pair)
 
 
 def test_merge_pair_mixed_star():
