@@ -151,7 +151,7 @@ def _print_factor(factor: CycleFactor | None) -> int:
 
 def _cmd_factor(args) -> int:
     g = _read_graph(args.file)
-    if args.min_cycle_len > 2:
+    if args.min_cycle_len == 4:
         factor = oracles.oracle_factor(g, allow_two_cycles=False)
     else:
         factor = find_alternating_cycle_factor(g)
@@ -208,7 +208,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("factor", help="alternating cycle factor")
     p.add_argument("file")
-    p.add_argument("--min-cycle-len", type=int, default=2)
+    p.add_argument("--min-cycle-len", type=int, default=2, choices=[2, 4])
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("generate", help="emit a generated instance")
@@ -251,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FALSE
     except MergeError as exc:  # the solver broke one of its own guarantees
         print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
+    except RecursionError:  # the recursive oracles on a long search path
+        print("error: exhaustive search exceeded the recursion limit", file=sys.stderr)
         return EXIT_SOFTWARE
 
 

@@ -118,8 +118,9 @@ def decode_cycles(
 
 
 def validate_cycle(g: ColoredMultigraph, cycle: AltCycle) -> bool:
-    """Check all AltCycle invariants against the host graph."""
-    if not cycle.well_formed():
+    """Check all AltCycle invariants against the host graph; a vertex
+    outside 0..n-1 makes the cycle invalid, not an error."""
+    if not cycle.well_formed() or not all(0 <= v < g.n for v in cycle.vertices):
         return False
     m = len(cycle)
     return all(

@@ -1,9 +1,9 @@
 """Constructive cycle merging and the Hamiltonian cycle driver.
 
 Merging two alternating cycles follows the case analysis of the
-characterization, in order: a good pair of edges, the explicit mixed-color
-star cycle, an explicit chord-based cycle, and finally a color-domination
-verdict. Each verdict is verified, and the route to it is not re-checked:
+characterization, in order: a good pair of edges, a color-domination
+verdict either way, the explicit mixed-color star cycle, and an explicit
+chord-based cycle. Each verdict is verified, and no route to it is guessed:
 a merged cycle is validated against the graph by
 `cycle_from_vertex_sequence`, and a domination by `color_dominates`. A
 pair that yields neither exposes a 2-M closure violation (`Inapplicable`);
@@ -43,10 +43,6 @@ class NotOnCycleError(MergeError):
 
 
 class InvalidPairError(MergeError):
-    pass
-
-
-class InvalidTriangleError(MergeError):
     pass
 
 
@@ -158,21 +154,6 @@ SolveResult = HamiltonianCycle | NoFactor | NotColorConnected | NotTwoMClosed
 # labelling helpers
 
 
-def _orient(cycle: AltCycle, v: int, color: Color) -> AltCycle:
-    """Rotation/reversal with v first and the first edge colored `color`.
-
-    Always achievable: each cycle vertex has one incident cycle edge of each
-    color, and reversal keeps the first vertex while flipping the first
-    edge's color.
-    """
-    if v not in cycle.vertex_set():
-        raise NotOnCycleError(f"vertex {v} not on cycle")
-    rotated = cycle.rotate(cycle.vertices.index(v))
-    if rotated.colors[0] is color:
-        return rotated
-    return rotated.reverse()
-
-
 def appropriately_label(
     g: ColoredMultigraph, c1: AltCycle, c2: AltCycle, edge: tuple[int, int]
 ) -> tuple[AltCycle, AltCycle]:
@@ -187,7 +168,11 @@ def appropriately_label(
     if not colors:
         raise MergeError(f"no edge between {x} and {y}")
     color = BLUE if BLUE in colors else RED
-    return _orient(c1, x, color), _orient(c2, y, color)
+    # rotate the anchor to the front; reversal keeps it there and flips the
+    # first edge's color, and each cycle vertex has one cycle edge per color
+    return tuple(
+        _orient_first(c.rotate(c.vertices.index(v)), color) for c, v in ((c1, x), (c2, y))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +262,11 @@ def merge_pair(
     """Merge two disjoint alternating cycles or report why not.
 
     The outcome is independent of rotating or reversing either cycle: the
-    analysis re-anchors at the lexicographically smallest cross edge. It is
-    not independent of the argument order: some pairs merge one way round
-    and raise the other.
+    analysis re-anchors at the lexicographically smallest cross edge.
+    Domination is tested both ways and a chord is sought in either cycle,
+    so neither verdict waits on a guess of which cycle dominates; swapping
+    the arguments mirrors a domination's source, and may pick another
+    merged cycle.
     """
     # name the first vertex outside the graph that a scan of the cross pairs
     # (u in c1, v in c2) meets: c1's first vertex, then c2's, then c1's rest
@@ -301,36 +288,29 @@ def merge_pair(
         _note(trace, "merge good-pair")
         return Merged(merged)
 
+    # A dominated pair spans no alternating cycle: from a vertex of the
+    # dominator's even class, an alternating walk that starts in the other
+    # color alternates between the dominator's two classes and never reaches
+    # the other cycle. So domination is decided before any construction.
+    for source, (dominant, dominated) in ((1, (c1, c2)), (2, (c2, c1))):
+        d = color_dominates(g, dominant, dominated)
+        if d is not None:
+            _note(trace, f"dominate {source} {3 - source} {d.value}")
+            return Dominates(source, d)
+
     a, b = appropriately_label(g, c1, c2, anchor)
     base = a.colors[0]
     x1 = a.vertices[0]
     # mixed star: x1 sees c2's even class in both colors
     even = _mask(b.vertices[0::2])
     if g.masks(base)[x1] & even and g.masks(base.other)[x1] & even:
-        merged = _merge_mixed_star(g, a, b, base)
-        if merged is not None:
-            _note(trace, "merge mixed-star")
-            return Merged(merged)
+        rule, merged = "mixed-star", _merge_mixed_star(g, a, b, base)
+    else:
+        rule, merged = "chord", _merge_chord(g, a, b, base)
+    if merged is None:
         return _off_pattern(g, c1, c2)
-
-    # monochromatic star at x1: when x1 sees c2's odd class in the other
-    # color, interchange the cycles so the candidate dominator comes first
-    swapped = g.masks(base.other)[x1] & _mask(b.vertices[1::2]) != 0
-    if swapped:
-        a, b = b, a
-
-    merged = _merge_chord(g, a, b, base)
-    if merged is not None:
-        _note(trace, "merge chord")
-        return Merged(merged)
-
-    # no usable chord: a domination verdict, if `color_dominates` confirms it
-    source, (dominant, dominated) = (2, (c2, c1)) if swapped else (1, (c1, c2))
-    d = color_dominates(g, dominant, dominated)
-    if d is None:
-        return _off_pattern(g, c1, c2)
-    _note(trace, f"dominate {source} {3 - source} {d.value}")
-    return Dominates(source, d)
+    _note(trace, f"merge {rule}")
+    return Merged(merged)
 
 
 def _merge_mixed_star(
@@ -369,37 +349,28 @@ def _merge_mixed_star(
 def _merge_chord(
     g: ColoredMultigraph, a: AltCycle, b: AltCycle, base: Color
 ) -> AltCycle | None:
-    """An off-pattern chord inside the dominating cycle's odd class (other
-    color) or even class (base color) threads both cycles into one."""
-    merged = _chord_merge(g, a, b, base)
-    if merged is not None:
-        return merged
-    # even-class chord: rotating both cycles by one swaps the classes and the
-    # roles of the colors, reducing to the same construction
-    return _chord_merge(g, a.rotate(1), b.rotate(1), base.other)
-
-
-def _chord_merge(
-    g: ColoredMultigraph, a: AltCycle, b: AltCycle, base: Color
-) -> AltCycle | None:
-    n, m = len(a), len(b)
-    xs, ys = a.vertices, b.vertices
-    for p in range(0, n, 2):
-        for q in range(p + 2, n, 2):
-            if not g.has_edge_color(xs[p], xs[q], base.other):
-                continue
-            seq = [ys[0]]
-            i = (p - 1) % n
-            while True:
-                seq.append(xs[i])
-                if i == q:
-                    break
-                i = (i - 1) % n
-            seq += [xs[i] for i in range(p, q)]
-            seq += [ys[m - 1 - k] for k in range(m - 1)]
-            merged = cycle_from_vertex_sequence(g, seq)
-            if merged is not None:
-                return merged
+    """An off-pattern chord inside one cycle's odd class (other color) or
+    even class (base color) threads both cycles into one. Rotating both
+    cycles by one swaps the classes and the roles of the colors, so one
+    construction serves both; either cycle may carry the chord."""
+    for xc, yc, color in (
+        (a, b, base.other),
+        (a.rotate(1), b.rotate(1), base),
+        (b, a, base.other),
+        (b.rotate(1), a.rotate(1), base),
+    ):
+        n, xs, ys = len(xc), xc.vertices, yc.vertices
+        for p in range(0, n, 2):
+            for q in range(p + 2, n, 2):
+                if not g.has_edge_color(xs[p], xs[q], color):
+                    continue
+                # y_0, then x from x_{p-1} back round to x_q, then x_p..x_{q-1},
+                # then y back round to y_1
+                back = [xs[(p - 1 - k) % n] for k in range(n + p - q)]
+                seq = [ys[0], *back, *xs[p:q], *ys[:0:-1]]
+                merged = cycle_from_vertex_sequence(g, seq)
+                if merged is not None:
+                    return merged
     return None
 
 
@@ -460,41 +431,21 @@ def merge_domination_triangle(
 ) -> AltCycle:
     """Merge a directed 3-cycle of dominations into one alternating cycle.
 
-    A monochromatic triangle concatenates all three cycles forward; a mixed
-    triangle (rotated so the odd-colored arc comes last) traverses the third
-    cycle in reverse. The arc colors are taken as given: they come from
-    verified `Dominates` verdicts, and the merged cycle is validated.
+    The triangle is rotated so that its first two arcs share a color a, and
+    every cycle is oriented with first edge a; the first two are walked
+    forward, the third forward if its arc is a and reversed otherwise. The
+    arc colors are taken as given: they come from verified `Dominates`
+    verdicts, and the merged cycle is validated.
     """
-    cycles = [c1, c2, c3]
-    if colors[0] is colors[1] is colors[2]:
-        a = colors[0]
-        o1, o2, o3 = (_orient_first(c, a) for c in cycles)
-        seq = list(o1.vertices) + list(o2.vertices) + list(o3.vertices)
-        merged = cycle_from_vertex_sequence(g, seq)
-        if merged is not None:
-            return merged
-        raise InvalidTriangleError("monochromatic triangle cycle did not validate")
-
-    # rotate roles so the first two dominations share a color
-    for shift in range(3):
-        rc = [colors[(shift + t) % 3] for t in range(3)]
-        if rc[0] is rc[1] and rc[2] is not rc[0]:
-            ordered = [cycles[(shift + t) % 3] for t in range(3)]
-            a = rc[0]
-            o1 = _orient_first(ordered[0], a)
-            o2 = _orient_first(ordered[1], a)
-            for third_first in (a, a.other):
-                o3 = _orient_first(ordered[2], third_first)
-                seq = (
-                    list(o1.vertices)
-                    + list(o2.vertices)
-                    + list(o3.vertices[::-1])
-                )
-                merged = cycle_from_vertex_sequence(g, seq)
-                if merged is not None:
-                    return merged
-            break
-    raise InvalidTriangleError("mixed triangle cycle did not validate")
+    cycles = (c1, c2, c3)
+    shift = next(s for s in range(3) if colors[s] is colors[(s + 1) % 3])
+    a = colors[shift]
+    o1, o2, o3 = (_orient_first(cycles[(shift + t) % 3], a) for t in range(3))
+    third = o3.vertices if colors[(shift + 2) % 3] is a else o3.vertices[::-1]
+    merged = cycle_from_vertex_sequence(g, [*o1.vertices, *o2.vertices, *third])
+    if merged is None:
+        raise StructureViolation("domination triangle did not merge", cycles)
+    return merged
 
 
 def _orient_first(cycle: AltCycle, color: Color) -> AltCycle:

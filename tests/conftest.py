@@ -113,7 +113,7 @@ def complete_coloring(n: int, letters: str) -> ColoredMultigraph:
 def G8() -> tuple[ColoredMultigraph, list[AltCycle]]:
     """2-M-closed, with an alternating Hamiltonian cycle; returns the graph
     and the factor [A, B] of two red-first 4-cycles, A = 0..3, B = 4..7.
-    The solver merges (A, B) by a chord but raises on (B, A)."""
+    The solver merges it by a chord in both orders."""
     g = complete_coloring(8, "RRBRBRRBRRBBBRRRRBBBRBRRBBRR")
     return g, [cycle_from_vertex_sequence(g, span) for span in (range(4), range(4, 8))]
 

@@ -189,6 +189,27 @@ def test_factor_min_cycle_len(capsys, write_graph):
     assert code == 1 and out.strip() == "none"
 
 
+def test_factor_min_cycle_len_takes_only_2_or_4(capsys, write_graph):
+    # the flag chooses between two searches; other lengths are not honoured
+    path = write_graph(ac.gen_complete(8, 0))
+    for value in ("6", "3"):
+        code, out, err = run(capsys, "factor", "--min-cycle-len", value, path)
+        assert code == 64 and out == ""
+        assert "invalid choice" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["oracle", "hamiltonian"], ["oracle", "factor"], ["factor", "--min-cycle-len", "4"]]
+)
+def test_deep_exhaustive_search_exits_70(capsys, write_graph, argv):
+    # the oracles recurse once per path vertex, and round a 1200-vertex
+    # alternating ring that is deeper than Python's recursion limit
+    code, out, err = run(capsys, *argv, write_graph(ring_graph(600)))
+    assert code == 70
+    assert out == ""
+    assert err == "error: exhaustive search exceeded the recursion limit\n"
+
+
 def test_generate_roundtrip(capsys):
     code, out, _ = run(capsys, "generate", "--family", "complete-random", "--n", "6", "--seed", "9")
     assert code == 0

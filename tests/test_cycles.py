@@ -70,6 +70,10 @@ def test_validate_cycle():
     assert not ac.validate_cycle(g, AltCycle((0, 1, 2, 5), alt_colors(4, BLUE)))
     # wrong color on an existing edge
     assert not ac.validate_cycle(g, AltCycle(c.vertices, alt_colors(6, RED)))
+    # a vertex outside the graph
+    g4 = ac.empty(4)
+    ring(g4, 0, 2)
+    assert not ac.validate_cycle(g4, AltCycle((0, 1, 2, 9), alt_colors(4, BLUE)))
 
 
 def test_validate_factor():

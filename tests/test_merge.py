@@ -11,6 +11,7 @@ import altcycles as ac
 from altcycles import (
     BLUE,
     RED,
+    Color,
     Dominates,
     HamiltonianCycle,
     Merged,
@@ -440,9 +441,8 @@ def test_dominates_verdicts_are_one_way_and_match_the_first_edge(monkeypatch):
 
 
 def test_merge_pair_verdict_kind_ignores_argument_order(monkeypatch):
-    """Guards the route merge_pair no longer re-checks: on the pairs the
-    solver sweeps, swapping the arguments keeps the verdict kind, and a
-    domination keeps its dominating cycle and color."""
+    """On the pairs the solver sweeps, swapping the arguments keeps the
+    verdict kind, and a domination keeps its dominating cycle and color."""
     calls = record_merge_calls(monkeypatch)
     solve_planted(range(300))
     kinds = Counter(type(outcome).__name__ for *_, outcome in calls)
@@ -453,6 +453,20 @@ def test_merge_pair_verdict_kind_ignores_argument_order(monkeypatch):
             assert swapped == Dominates(3 - outcome.source, outcome.color)
         else:
             assert type(swapped) is type(outcome)
+
+
+def test_dominated_pairs_span_no_alternating_cycle():
+    """Why merge_pair may return a domination before trying to merge: over
+    the planted pairs, every pair that color_dominates accepts, either way
+    round, has no alternating cycle on its union."""
+    dominated = 0
+    for seed in range(300):
+        g, cycles = planted_instance(seed)
+        for c1, c2 in permutations(cycles, 2):
+            if ac.color_dominates(g, c1, c2) is not None:
+                dominated += 1
+                assert ac.oracle_merge(g, c1, c2) is None
+    assert dominated == 291
 
 
 # ---------------------------------------------------------------------------
@@ -588,27 +602,101 @@ def test_two_cycle_factor_gap():
 
 
 def test_merge_argument_order_gap():
-    """Open defect: merge_pair's outcome depends on the argument order.
+    """merge_pair's outcome on G8 does not depend on the argument order.
 
     G8 is 2-M-closed and has an alternating Hamiltonian cycle, and its
-    factor has two 4-cycles, no 2-cycle. Given (A, B) the solver merges them
-    by a chord; given (B, A) it finds no merge pattern and raises.
+    factor has two 4-cycles, no 2-cycle. The chord is sought in either
+    cycle, so both orders merge the pair into the same cycle.
     """
     g, (a, b) = G8()
     assert ac.is_2m_closed(g)
     assert ac.oracle_hamiltonian(g) is not None
     assert len(a) == len(b) == 4
-    assert isinstance(ac.solve_from_factor(g, [a, b]), HamiltonianCycle)
-    with pytest.raises(StructureViolation, match="^no merge pattern on a 2-M-closed graph$"):
-        ac.solve_from_factor(g, [b, a])
+    for cycles in ([a, b], [b, a]):
+        trace: list[str] = []
+        result = ac.solve_from_factor(g, cycles, trace)
+        assert isinstance(result, HamiltonianCycle)
+        assert result.cycle.vertices == (1, 4, 7, 5, 6, 0, 3, 2)
+        assert trace == ["merge chord"]
+
+
+def two_square_coloring(code: int, first: Color):
+    """A complete coloring of range(8) in which A = 0 1 2 3 is a blue-first
+    and B = 4 5 6 7 a `first`-first alternating 4-cycle; bit k of the 20-bit
+    `code` makes the k-th other pair, in combinations order, red."""
+    a = AltCycle((0, 1, 2, 3), (BLUE, RED) * 2)
+    b = AltCycle((4, 5, 6, 7), (first, first.other) * 2)
+    on_cycles = {
+        frozenset((c.vertices[k], c.vertices[k - 1])): c.colors[k - 1]
+        for c in (a, b)
+        for k in range(4)
+    }
+    g, k = ac.empty(8), 0
+    for u, v in combinations(range(8), 2):
+        color = on_cycles.get(frozenset((u, v)))
+        if color is None:
+            color, k = (RED if code >> k & 1 else BLUE), k + 1
+        g.add_edge(u, v, color)
+    return g, a, b
+
+
+# Of all 2,097,152 such colorings, those on which merge_pair raised while a
+# route guessed which cycle dominates: in one argument order only (they now
+# merge), or in both (G8b is 334939 blue; they still raise).
+ONE_ORDER_CODES = {
+    BLUE: (
+        72794, 72795, 189316, 189348, 451460, 451492, 494320, 494321, 554255, 554287,
+        597082, 597083, 816399, 816431, 1018608, 1018609, 29966, 29998, 232144, 232145,
+        292110, 292142, 334970, 334971, 713605, 713637, 756432, 756433, 859258, 859259,
+        975749, 975781,
+    ),
+    RED: (
+        78926, 78927, 183184, 183216, 445328, 445360, 500452, 500453, 548123, 548155,
+        603214, 603215, 810267, 810299, 1024740, 1024741, 23834, 23866, 238276, 238277,
+        285978, 286010, 341102, 341103, 707473, 707505, 762564, 762565, 865390, 865391,
+        969617, 969649,
+    ),
+}
+BOTH_ORDER_CODES = {
+    BLUE: (
+        29967, 29999, 232176, 232177, 292111, 292143, 334938, 334939, 713604, 713636,
+        756464, 756465, 859226, 859227, 975748, 975780,
+    ),
+    RED: (
+        23835, 23867, 238308, 238309, 285979, 286011, 341070, 341071, 707472, 707504,
+        762596, 762597, 865358, 865359, 969616, 969648,
+    ),
+}
+
+
+def test_merge_order_gap_colorings():
+    """Every coloring that raised in one order now merges in both, into a
+    valid cycle on all 8 vertices; those that raised in both still do."""
+    assert two_square_coloring(334939, BLUE)[0] == G8b()[0]
+    for first in (BLUE, RED):
+        for code in ONE_ORDER_CODES[first]:
+            g, a, b = two_square_coloring(code, first)
+            for c1, c2 in ((a, b), (b, a)):
+                outcome = merge_pair(g, c1, c2)
+                assert isinstance(outcome, Merged), (code, first)
+                assert ac.validate_cycle(g, outcome.cycle)
+                assert sorted(outcome.cycle.vertices) == list(range(8))
+        for code in BOTH_ORDER_CODES[first]:
+            g, a, b = two_square_coloring(code, first)
+            assert ac.is_2m_closed(g)
+            for c1, c2 in ((a, b), (b, a)):
+                with pytest.raises(
+                    StructureViolation, match="^no merge pattern on a 2-M-closed graph$"
+                ):
+                    merge_pair(g, c1, c2)
 
 
 def test_merge_pair_no_pattern_in_either_order():
     """Open defect: merge_pair finds no merge pattern on G8b in either order.
 
     G8b is 2-M-closed, color-connected and has an alternating Hamiltonian
-    cycle; its factor has two 4-cycles, no 2-cycle. Trying the chord with
-    the other cycle dominating (the G8 repair) does not merge it either.
+    cycle; its factor has two 4-cycles, no 2-cycle. Seeking the chord in
+    either cycle, which merges G8 in both orders, does not merge it.
     """
     g, (a, b) = G8b()
     assert ac.is_2m_closed(g)
@@ -629,6 +717,10 @@ def test_solve_from_factor_rejects_non_factor():
     for cycles in ([], [c1], [c1, c1, c2]):
         with pytest.raises(ValueError):
             ac.solve_from_factor(g, cycles)
+    g4 = ac.empty(4)
+    ring(g4, 0, 2)
+    with pytest.raises(ValueError):  # a vertex outside the graph
+        ac.solve_from_factor(g4, [AltCycle((0, 1, 2, 9), (BLUE, RED, BLUE, RED))])
 
 
 def _assert_matches_oracle(g, result):
