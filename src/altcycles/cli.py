@@ -8,7 +8,7 @@ import sys
 from . import generate, oracles
 from .cycles import AltCycle, CycleFactor
 from .factor import find_alternating_cycle_factor
-from .graph import BLUE, ColoredMultigraph, ParseError, parse_text, serialize_text
+from .graph import BLUE, MAX_VERTICES, ColoredMultigraph, ParseError, parse_text, serialize_text
 from .merge import (
     HamiltonianCycle,
     MergeError,
@@ -33,12 +33,21 @@ EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_SOFTWARE = 70
 
+# `gen_counterexample` checks itself by the exponential alternating-path
+# search: 32 vertices take 1-2 s, and each step of k1 + k2 about doubles it.
+MAX_COUNTEREXAMPLE_VERTICES = 32
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 64, not argparse's 2
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _read_graph(path: str) -> ColoredMultigraph:
@@ -50,8 +59,7 @@ def _read_graph(path: str) -> ColoredMultigraph:
             with open(path, "rb") as f:
                 data = f.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
+        raise SystemExit(_usage_error(str(exc))) from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -159,13 +167,19 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.family == "complete-random":
+    low = 1 if args.family == "complete-random" else 0
+    if args.family == "counterexample":
+        most = MAX_COUNTEREXAMPLE_VERTICES
+        if min(args.k1, args.k2) < 2 or 2 * (args.k1 + args.k2) > most:
+            return _usage_error(f"need --k1, --k2 >= 2 and 2 * (k1 + k2) <= {most}")
+        g = generate.gen_counterexample(args.k1, args.k2)
+    elif not low <= args.n <= MAX_VERTICES:
+        return _usage_error(f"need {low} <= --n <= {MAX_VERTICES}")
+    elif args.family == "complete-random":
         g = generate.gen_complete(args.n, args.seed)
-    elif args.family == "closure-2m":
+    else:
         base = generate.gen_random(args.n, args.seed, args.density)
         g = generate.closure_2m(base, args.seed, args.color)
-    else:
-        g = generate.gen_counterexample(args.k1, args.k2)
     sys.stdout.write(serialize_text(g))
     return EXIT_OK
 

@@ -2,9 +2,9 @@
 
 Merging two alternating cycles follows the case analysis of the
 characterization, in order: a good pair of edges, a color-domination
-verdict either way, the explicit mixed-color star cycle, and an explicit
-chord-based cycle. Each verdict is verified, and no route to it is guessed:
-a merged cycle is validated against the graph by
+verdict either way, then at each cross edge in turn the explicit mixed-color
+star cycle and an explicit chord-based cycle. Each verdict is verified, so
+no route to it is guessed: a merged cycle is validated against the graph by
 `cycle_from_vertex_sequence`, and a domination by `color_dominates`. A
 pair that yields neither exposes a 2-M closure violation (`Inapplicable`);
 on a 2-M-closed graph it raises `StructureViolation`.
@@ -261,8 +261,9 @@ def merge_pair(
 ) -> MergeOutcome:
     """Merge two disjoint alternating cycles or report why not.
 
-    The outcome is independent of rotating or reversing either cycle: the
-    analysis re-anchors at the lexicographically smallest cross edge.
+    Rotating or reversing either cycle keeps the kind of outcome, though a
+    good-pair merge's cycle and a domination's color may change. The other
+    constructions anchor at the cross edges (u, v) in ascending order.
     Domination is tested both ways and a chord is sought in either cycle,
     so neither verdict waits on a guess of which cycle dominates; swapping
     the arguments mirrors a domination's source, and may pick another
@@ -275,11 +276,7 @@ def merge_pair(
             raise OutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
     blue, red = g.masks(BLUE), g.masks(RED)
     in_c2 = _mask(c2.vertices)
-    for u in sorted(c1.vertices):
-        if hit := (blue[u] | red[u]) & in_c2:
-            anchor = (u, (hit & -hit).bit_length() - 1)
-            break
-    else:
+    if not any((blue[u] | red[u]) & in_c2 for u in c1.vertices):
         return NotAdjacent()
 
     pair = find_good_pair(g, c1, c2)
@@ -298,19 +295,16 @@ def merge_pair(
             _note(trace, f"dominate {source} {3 - source} {d.value}")
             return Dominates(source, d)
 
-    a, b = appropriately_label(g, c1, c2, anchor)
-    base = a.colors[0]
-    x1 = a.vertices[0]
-    # mixed star: x1 sees c2's even class in both colors
-    even = _mask(b.vertices[0::2])
-    if g.masks(base)[x1] & even and g.masks(base.other)[x1] & even:
-        rule, merged = "mixed-star", _merge_mixed_star(g, a, b, base)
-    else:
-        rule, merged = "chord", _merge_chord(g, a, b, base)
-    if merged is None:
-        return _off_pattern(g, c1, c2)
-    _note(trace, f"merge {rule}")
-    return Merged(merged)
+    # each construction validates its cycle, so the first that merges wins
+    for u in sorted(c1.vertices):
+        for v in bits((blue[u] | red[u]) & in_c2):
+            a, b = appropriately_label(g, c1, c2, (u, v))
+            for rule, construct in (("mixed-star", _merge_mixed_star), ("chord", _merge_chord)):
+                merged = construct(g, a, b, a.colors[0])
+                if merged is not None:
+                    _note(trace, f"merge {rule}")
+                    return Merged(merged)
+    return _off_pattern(g, c1, c2)
 
 
 def _merge_mixed_star(
@@ -319,30 +313,19 @@ def _merge_mixed_star(
     """Mixed colors from x_1 to the odd-position class of c2: rotate c2 so
     [x_1, y_1] carries the base color and [x_1, y_3] the other, then read off
     the explicit merged cycle."""
-    m1, m2 = len(a), len(b)
-    x1 = a.vertices[0]
-    shift = None
-    for j in range(0, m2, 2):
-        if base in g.edge_colors(x1, b.vertices[j]) and base.other in g.edge_colors(
-            x1, b.vertices[(j + 2) % m2]
-        ):
-            shift = j
-            break
-    if shift is None:
-        return None
-    b = b.rotate(shift)
+    n, m = len(a), len(b)
     xs, ys = a.vertices, b.vertices
-    n, m = m1, m2
-    seq: list[int] = []
-    if n <= m:
-        for t in range(n // 2):
-            seq += [ys[2 * t], ys[2 * t + 1], xs[2 * t + 1], xs[2 * t]]
-        seq += list(ys[n:])
+    own, other = g.masks(base)[xs[0]], g.masks(base.other)[xs[0]]
+    for shift in range(0, m, 2):
+        if own >> ys[shift] & 1 and other >> ys[(shift + 2) % m] & 1:
+            break
     else:
-        for t in range((m - 2) // 2):
-            seq += [ys[2 * t], ys[2 * t + 1], xs[2 * t + 1], xs[2 * t]]
-        seq += [ys[m - 2], ys[m - 1]]
-        seq += [xs[i] for i in range(n - 1, m - 3, -1)]
+        return None
+    ys = b.rotate(shift).vertices
+    # swapped pairs up to k = min(n, m), then the longer cycle's rest
+    k = min(n, m)
+    seq = [v for t in range(0, k - 2, 2) for v in (ys[t], ys[t + 1], xs[t + 1], xs[t])]
+    seq += [ys[k - 2], ys[k - 1], *reversed(xs[k - 2:]), *ys[k:]]
     return cycle_from_vertex_sequence(g, seq)
 
 

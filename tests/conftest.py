@@ -121,16 +121,17 @@ def G8() -> tuple[ColoredMultigraph, list[AltCycle]]:
 def G8b() -> tuple[ColoredMultigraph, list[AltCycle]]:
     """2-M-closed and color-connected, with the alternating Hamiltonian
     cycle 0 1 4 5 2 3 6 7; returns the graph and its factor [A, B] of two
-    blue-first 4-cycles, A = 0..3, B = 4..7. The solver raises on the pair
-    in both orders."""
+    blue-first 4-cycles, A = 0..3, B = 4..7. No construction merges the pair
+    at its smallest cross edge; the solver merges it by the mixed star at a
+    later anchor, in both orders."""
     g = complete_coloring(8, "BRRRBRRRBRBBBBRRRBBBRBBRRRBB")
     return g, [cycle_from_vertex_sequence(g, span) for span in (range(4), range(4, 8))]
 
 
 def G12() -> tuple[ColoredMultigraph, list[AltCycle]]:
     """2-M-closed; returns the graph and the factor [ring 4..11 red-first,
-    ring 0..3 blue-first], which merges by the long arm of the mixed star
-    (the first cycle is the longer)."""
+    ring 0..3 blue-first], which merges by the mixed star with the first
+    cycle the longer, so its rest is walked back."""
     g = complete_coloring(
         12, "BRRBBRBBBRBRRRBRRRBRRBRBBBRBBBRRRBRRRBRRRRRRBBRRRRRRRRRRBRRRRRRBRR"
     )
@@ -153,12 +154,18 @@ def small_corpus(count: int, sizes=range(4, 9), seed0: int = 0):
     return out
 
 
+def bench_module(name: str):
+    """`bench/<name>.py`, loaded by path: `bench/` is not a package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve through sys.modules
+    spec.loader.exec_module(module)
+    return module
+
+
 def solve_corpus_graphs(seed: int) -> list[ColoredMultigraph]:
     """The benchmark's solve-corpus pool (`bench/workloads.py`) for `seed`,
     parsed: small graphs of all four solve verdicts."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses resolve through sys.modules
-    spec.loader.exec_module(workloads)
+    workloads = bench_module("workloads")
     return [ac.parse_text(e.text) for e in workloads.SolveCorpus().make_pool(seed)]

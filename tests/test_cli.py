@@ -8,7 +8,7 @@ import altcycles as ac
 from altcycles import BLUE, RED
 from altcycles.cli import export_dot, main
 from altcycles.graph import MAX_VERTICES
-from conftest import not_color_connected_graph, ring, triangle_graph, two_cycle_gap_graph
+from conftest import G8b, not_color_connected_graph, ring, triangle_graph, two_cycle_gap_graph
 
 
 @pytest.fixture
@@ -156,6 +156,12 @@ TRACE_CASES = [
         "cycle 0 10 6 3 13 12 11 7 2 8 4 1 9 5 : B R B R B R B R B R B R B R\n",
     ),
     ("two-rings", two_rings_graph, 3, "not-color-connected\ncertificate 0 B 4\n"),
+    (
+        "mixed-star-G8b",
+        lambda: G8b()[0],
+        0,
+        "merge mixed-star\nhamiltonian\ncycle 5 4 1 0 7 6 3 2 : B R B R B R B R\n",
+    ),
 ]
 
 
@@ -227,6 +233,26 @@ def test_generate_counterexample(capsys):
     assert code == 0
     g = ac.parse_text(out)
     assert ac.is_2nm_closed(g) and ac.oracle_hamiltonian(g) is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complete-random", "--n", "0"],
+        ["complete-random", "--n", "-2"],
+        ["closure-2m", "--n", "-1"],
+        ["closure-2m", "--n", str(MAX_VERTICES + 1), "--density", "0"],
+        ["counterexample", "--k1", "1"],
+        # gen_counterexample checks itself by an exponential search
+        ["counterexample", "--k1", "9", "--k2", "8"],
+    ],
+    ids=["complete-0", "complete-neg", "closure-neg", "closure-over-max", "k1-1", "k-34-vertices"],
+)
+def test_generate_rejects_out_of_range_sizes(capsys, argv):
+    code, out, err = run(capsys, "generate", "--family", *argv)
+    assert code == 64 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_oracle_commands(capsys, write_graph):

@@ -641,8 +641,9 @@ def two_square_coloring(code: int, first: Color):
 
 
 # Of all 2,097,152 such colorings, those on which merge_pair raised while a
-# route guessed which cycle dominates: in one argument order only (they now
-# merge), or in both (G8b is 334939 blue; they still raise).
+# route guessed which cycle dominates: in one argument order only, or, while
+# it also anchored only at the smallest cross edge, in both (G8b is 334939
+# blue). All of them now merge.
 ONE_ORDER_CODES = {
     BLUE: (
         72794, 72795, 189316, 189348, 451460, 451492, 494320, 494321, 554255, 554287,
@@ -670,46 +671,44 @@ BOTH_ORDER_CODES = {
 
 
 def test_merge_order_gap_colorings():
-    """Every coloring that raised in one order now merges in both, into a
-    valid cycle on all 8 vertices; those that raised in both still do."""
+    """Every coloring that raised in one order or in both now merges in both,
+    into a valid cycle on all 8 vertices."""
     assert two_square_coloring(334939, BLUE)[0] == G8b()[0]
     for first in (BLUE, RED):
-        for code in ONE_ORDER_CODES[first]:
+        for code in (*ONE_ORDER_CODES[first], *BOTH_ORDER_CODES[first]):
             g, a, b = two_square_coloring(code, first)
+            assert ac.is_2m_closed(g)
             for c1, c2 in ((a, b), (b, a)):
                 outcome = merge_pair(g, c1, c2)
                 assert isinstance(outcome, Merged), (code, first)
                 assert ac.validate_cycle(g, outcome.cycle)
                 assert sorted(outcome.cycle.vertices) == list(range(8))
-        for code in BOTH_ORDER_CODES[first]:
-            g, a, b = two_square_coloring(code, first)
-            assert ac.is_2m_closed(g)
-            for c1, c2 in ((a, b), (b, a)):
-                with pytest.raises(
-                    StructureViolation, match="^no merge pattern on a 2-M-closed graph$"
-                ):
-                    merge_pair(g, c1, c2)
 
 
 def test_merge_pair_no_pattern_in_either_order():
-    """Open defect: merge_pair finds no merge pattern on G8b in either order.
+    """G8b merges in either order, though not at the smallest cross edge.
 
     G8b is 2-M-closed, color-connected and has an alternating Hamiltonian
-    cycle; its factor has two 4-cycles, no 2-cycle. Seeking the chord in
-    either cycle, which merges G8 in both orders, does not merge it.
+    cycle; its factor has two 4-cycles, no 2-cycle. Anchored at the smallest
+    cross edge, neither the mixed star nor the chord merges the pair in
+    either order; a later anchor merges it by the mixed star.
     """
     g, (a, b) = G8b()
     assert ac.is_2m_closed(g)
     assert ac.is_color_connected(g)
     assert ac.find_alternating_cycle_factor(g) == ac.CycleFactor((a, b))
     assert ac.oracle_hamiltonian(g).vertices == (0, 1, 4, 5, 2, 3, 6, 7)
-    for cycles in ([a, b], [b, a]):
-        with pytest.raises(
-            StructureViolation, match="^no merge pattern on a 2-M-closed graph$"
-        ):
-            ac.solve_from_factor(g, cycles)
-    with pytest.raises(StructureViolation, match="^no merge pattern on a 2-M-closed graph$"):
-        ac.solve_hamiltonian(g)
+    for cycles, expected in (
+        ([a, b], (5, 4, 1, 0, 7, 6, 3, 2)),
+        ([b, a], (1, 2, 7, 4, 3, 0, 5, 6)),
+    ):
+        trace: list[str] = []
+        result = ac.solve_from_factor(g, cycles, trace)
+        assert isinstance(result, HamiltonianCycle)
+        assert result.cycle.vertices == expected
+        assert trace == ["merge mixed-star"]
+        _assert_matches_oracle(g, result)
+    assert ac.solve_hamiltonian(g).cycle.vertices == (5, 4, 1, 0, 7, 6, 3, 2)
 
 
 def test_solve_from_factor_rejects_non_factor():
@@ -772,6 +771,7 @@ RULE_CASES = [
     ),
     ("mixed-star", _closed_mixed_star_graph, ["merge mixed-star"]),
     ("mixed-star-long-arm", G12, ["merge mixed-star"]),
+    ("mixed-star-later-anchor", G8b, ["merge mixed-star"]),
     ("chord-even-class", lambda: _chord_graph(0, 4, RED), ["merge chord"]),
     ("chord-odd-class", lambda: _chord_graph(1, 5, BLUE), ["merge chord"]),
     ("chord-G8", G8, ["merge chord"]),

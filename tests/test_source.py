@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import altcycles
+from conftest import bench_module
 
 
 def library_sources():
@@ -63,3 +65,14 @@ def test_no_unused_imports():
                 if bound not in used:
                     found.append(f"{name}:{node.lineno}:{bound}")
     assert found == []
+
+
+def test_benchmark_hooks_resolve():
+    """The benchmark's tracer wraps these module attributes and skips a
+    missing one, so a rename would silently drop its layer's metrics."""
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _layer in bench_module("spans").HOOKS
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []
