@@ -119,18 +119,6 @@ class ColoredMultigraph:
         blue, red = self._adj
         return (blue[u] | red[u]) >> v & 1 == 1
 
-    def edge_colors(self, u: int, v: int) -> set[Color]:
-        return {c for c in Color if self.has_edge_color(u, v, c)}
-
-    def neighbors_by_color(self, v: int, color: Color) -> set[int]:
-        self._check_vertex(v)
-        return set(bits(self._adj[color is RED][v]))
-
-    def neighbors_any(self, v: int) -> set[int]:
-        self._check_vertex(v)
-        blue, red = self._adj
-        return set(bits(blue[v] | red[v]))
-
     def edges(self) -> list[tuple[int, int, Color]]:
         """All edges as (u, v, color), u < v, sorted; Blue before Red."""
         out = []
@@ -174,8 +162,9 @@ def induced_subgraph(
     index = {v: i for i, v in enumerate(order)}
     sub = ColoredMultigraph(len(order))
     for u in order:
+        g._check_vertex(u)
         for color in (BLUE, RED):
-            for v in g.neighbors_by_color(u, color):
+            for v in bits(g.masks(color)[u]):
                 if v in index and u < v:
                     sub.add_edge(index[u], index[v], color)
     return sub, order

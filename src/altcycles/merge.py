@@ -7,7 +7,9 @@ star cycle and an explicit chord-based cycle. Each verdict is verified, so
 no route to it is guessed: a merged cycle is validated against the graph by
 `cycle_from_vertex_sequence`, and a domination by `color_dominates`. A
 pair that yields neither exposes a 2-M closure violation (`Inapplicable`);
-on a 2-M-closed graph it raises `StructureViolation`.
+on a 2-M-closed graph it raises `StructureViolation`. Verdicts are plain
+values, and a `Merged` one names its rule, so the solver renders its trace
+from the verdicts.
 The solver certifies a disconnected cycle adjacency first, so its
 domination digraph, read off the verdicts of its last sweep over the cycle
 pairs, spans one connected component; nothing recomputes the verdicts.
@@ -42,10 +44,6 @@ class NotOnCycleError(MergeError):
     pass
 
 
-class InvalidPairError(MergeError):
-    pass
-
-
 class StructureViolation(MergeError):
     """The domination digraph breaks a structural guarantee; signals a
     non-closed input or a missed merge. Carries the offending nodes."""
@@ -56,20 +54,9 @@ class StructureViolation(MergeError):
 
 
 @dataclass(frozen=True)
-class GoodPair:
-    """Cycle-edge indices i (in c1) and j (in c2) spanning a monochromatic
-    4-cycle; orientation 1 pairs x_i with y_j, orientation 2 pairs x_i with
-    y_{j+1}."""
-
-    i: int
-    j: int
-    orientation: int
-    color: Color
-
-
-@dataclass(frozen=True)
 class Merged:
     cycle: AltCycle
+    rule: str  # the construction that merged: good-pair, mixed-star or chord
 
 
 @dataclass(frozen=True)
@@ -164,10 +151,9 @@ def appropriately_label(
         raise NotOnCycleError(f"vertex {x} not on first cycle")
     if y not in c2.vertex_set():
         raise NotOnCycleError(f"vertex {y} not on second cycle")
-    colors = g.edge_colors(x, y)
-    if not colors:
+    if not g.has_edge_any(x, y):
         raise MergeError(f"no edge between {x} and {y}")
-    color = BLUE if BLUE in colors else RED
+    color = BLUE if g.has_edge_color(x, y, BLUE) else RED
     # rotate the anchor to the front; reversal keeps it there and flips the
     # first edge's color, and each cycle vertex has one cycle edge per color
     return tuple(
@@ -179,9 +165,11 @@ def appropriately_label(
 # good pairs
 
 
-def find_good_pair(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> GoodPair | None:
-    """Lexicographically first good pair over all edge pairs and both
-    orientations."""
+def merge_good_pair(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> AltCycle | None:
+    """The cycle merged at the first good pair, or None: cycle edges [x_i, x_i+1]
+    of c1 and [y_j, y_j+1] of c2 of one color spanning a monochromatic 4-cycle,
+    tried i over c1, j over c2, then x_i joined to y_j before y_j+1. The cycle
+    enters c2 at one end of the 4-cycle, traverses it, re-enters c1 at the other."""
     m1, m2 = len(c1), len(c2)
     x, y = c1.vertices, c2.vertices
     for i in range(m1):
@@ -189,33 +177,15 @@ def find_good_pair(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> GoodPair
         for j in range(m2):
             if c2.colors[j] is not color:
                 continue
-            for orientation in (1, 2):
-                a = y[j] if orientation == 1 else y[(j + 1) % m2]
-                b = y[(j + 1) % m2] if orientation == 1 else y[j]
-                if g.has_edge_color(x[i], a, color) and g.has_edge_color(
-                    x[(i + 1) % m1], b, color
+            # enter c2 at y_p, leave it at y_q, walking away from y_q
+            for p, q, step in ((j, j + 1, -1), (j + 1, j, 1)):
+                if g.has_edge_color(x[i], y[p % m2], color) and g.has_edge_color(
+                    x[(i + 1) % m1], y[q % m2], color
                 ):
-                    return GoodPair(i, j, orientation, color)
+                    c2_part = [y[(p + step * k) % m2] for k in range(m2)]
+                    rest = [x[(i + 1 + k) % m1] for k in range(m1 - 1)]
+                    return cycle_from_vertex_sequence(g, [x[i], *c2_part, *rest])
     return None
-
-
-def merge_good_pair(
-    g: ColoredMultigraph, c1: AltCycle, c2: AltCycle, pair: GoodPair
-) -> AltCycle:
-    """The explicit merged cycle: enter c2 at one end of the monochromatic
-    4-cycle, traverse it fully, re-enter c1 at the other end."""
-    m1, m2 = len(c1), len(c2)
-    x, y = c1.vertices, c2.vertices
-    i, j = pair.i, pair.j
-    if pair.orientation == 1:
-        c2_part = [y[(j - k) % m2] for k in range(m2)]
-    else:
-        c2_part = [y[(j + 1 + k) % m2] for k in range(m2)]
-    seq = [x[i]] + c2_part + [x[(i + 1 + k) % m1] for k in range(m1 - 1)]
-    merged = cycle_from_vertex_sequence(g, seq)
-    if merged is None:
-        raise InvalidPairError(f"good pair {pair} does not yield an alternating cycle")
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +196,9 @@ def color_dominates(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> Color |
     """Blue/Red when c1 color-dominates the disjoint cycle c2 per the
     six-condition definition (read with the cycles as labelled), else None:
     c1's even-position class is complete in that color, and joined to all of
-    c2 in it alone; its odd-position class likewise in the other color."""
+    c2 in it alone; its odd-position class likewise in the other color.
+    Raises OutOfRangeError on a vertex outside g."""
+    _check_on_graph(g, (*c1.vertices, *c2.vertices))
     for color in (BLUE, RED):
         if _dominates_with(g, c1, c2, color):
             return color
@@ -249,17 +221,21 @@ def _mask(vertices: Iterable[int]) -> int:
     return sum(1 << v for v in vertices)
 
 
+def _check_on_graph(g: ColoredMultigraph, vertices: Iterable[int]) -> None:
+    """Raise OutOfRangeError naming the first of `vertices` outside g."""
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise OutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
+
+
 # ---------------------------------------------------------------------------
 # pairwise merge
 
 
-def merge_pair(
-    g: ColoredMultigraph,
-    c1: AltCycle,
-    c2: AltCycle,
-    trace: list[str] | None = None,
-) -> MergeOutcome:
-    """Merge two disjoint alternating cycles or report why not.
+def merge_pair(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> MergeOutcome:
+    """Merge two disjoint alternating cycles or report why not; a `Merged`
+    verdict names the rule that merged. Raises ValueError if the cycles
+    share a vertex.
 
     Rotating or reversing either cycle keeps the kind of outcome, though a
     good-pair merge's cycle and a domination's color may change. The other
@@ -271,19 +247,17 @@ def merge_pair(
     """
     # name the first vertex outside the graph that a scan of the cross pairs
     # (u in c1, v in c2) meets: c1's first vertex, then c2's, then c1's rest
-    for v in (*c1.vertices[:1], *c2.vertices, *c1.vertices[1:]):
-        if not 0 <= v < g.n:
-            raise OutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
-    blue, red = g.masks(BLUE), g.masks(RED)
+    _check_on_graph(g, (*c1.vertices[:1], *c2.vertices, *c1.vertices[1:]))
     in_c2 = _mask(c2.vertices)
+    if _mask(c1.vertices) & in_c2:
+        raise ValueError("the cycles share a vertex")
+    blue, red = g.masks(BLUE), g.masks(RED)
     if not any((blue[u] | red[u]) & in_c2 for u in c1.vertices):
         return NotAdjacent()
 
-    pair = find_good_pair(g, c1, c2)
-    if pair is not None:
-        merged = merge_good_pair(g, c1, c2, pair)
-        _note(trace, "merge good-pair")
-        return Merged(merged)
+    merged = merge_good_pair(g, c1, c2)
+    if merged is not None:
+        return Merged(merged, "good-pair")
 
     # A dominated pair spans no alternating cycle: from a vertex of the
     # dominator's even class, an alternating walk that starts in the other
@@ -292,7 +266,6 @@ def merge_pair(
     for source, (dominant, dominated) in ((1, (c1, c2)), (2, (c2, c1))):
         d = color_dominates(g, dominant, dominated)
         if d is not None:
-            _note(trace, f"dominate {source} {3 - source} {d.value}")
             return Dominates(source, d)
 
     # each construction validates its cycle, so the first that merges wins
@@ -302,8 +275,7 @@ def merge_pair(
             for rule, construct in (("mixed-star", _merge_mixed_star), ("chord", _merge_chord)):
                 merged = construct(g, a, b, a.colors[0])
                 if merged is not None:
-                    _note(trace, f"merge {rule}")
-                    return Merged(merged)
+                    return Merged(merged, rule)
     return _off_pattern(g, c1, c2)
 
 
@@ -365,11 +337,6 @@ def _off_pattern(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> Inapplicab
     if not violations:
         raise StructureViolation("no merge pattern on a 2-M-closed graph", (c1, c2))
     return Inapplicable(violations[0])
-
-
-def _note(trace: list[str] | None, line: str) -> None:
-    if trace is not None:
-        trace.append(line)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +453,9 @@ def solve_from_factor(
     while len(cycles) > 1:
         verdicts: dict[tuple[int, int], MergeOutcome] = {}
         for i, j in combinations(range(len(cycles)), 2):
-            outcome = merge_pair(g, cycles[i], cycles[j], trace)
+            outcome = merge_pair(g, cycles[i], cycles[j])
+            if trace is not None:
+                trace.extend(_trace_lines(outcome))
             if isinstance(outcome, Merged):
                 break
             verdicts[(i, j)] = outcome
@@ -505,7 +474,8 @@ def solve_from_factor(
             merged = merge_domination_triangle(
                 g, cycles[i], cycles[j], cycles[k], colors
             )
-            _note(trace, f"merge triangle {i} {j} {k}")
+            if trace is not None:
+                trace.append(f"merge triangle {i} {j} {k}")
             cycles = [c for t, c in enumerate(cycles) if t not in (i, j, k)] + [merged]
             continue
         src, dom_color = digraph.source()
@@ -525,6 +495,14 @@ def solve_from_factor(
     if not validate_cycle(g, cycle) or sorted(cycle.vertices) != list(range(g.n)):
         raise StructureViolation("merged cycle is not a Hamiltonian cycle of g", (cycle,))
     return HamiltonianCycle(cycle)
+
+
+def _trace_lines(outcome: MergeOutcome) -> list[str]:
+    """The trace of one verdict: its merge rule, or its domination with the
+    pair-relative indices of the dominating and the dominated cycle."""
+    if isinstance(outcome, Dominates):
+        return [f"dominate {outcome.source} {3 - outcome.source} {outcome.color.value}"]
+    return [f"merge {outcome.rule}"] if isinstance(outcome, Merged) else []
 
 
 def _disconnected_certificate(

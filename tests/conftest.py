@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import random
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -169,3 +170,80 @@ def solve_corpus_graphs(seed: int) -> list[ColoredMultigraph]:
     parsed: small graphs of all four solve verdicts."""
     workloads = bench_module("workloads")
     return [ac.parse_text(e.text) for e in workloads.SolveCorpus().make_pool(seed)]
+
+
+def planted_instance(seed: int):
+    """2-M closure of 2-4 planted rings (half-lengths 1-3, n <= 12) with a
+    random domination, either way or none, per ring pair and 0-3 stray
+    edges; returns the graph and the planted cycles, still a factor of it."""
+    rng = random.Random(seed)
+    while True:
+        halves = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        if sum(halves) <= 6:
+            break
+    n = 2 * sum(halves)
+    g = ac.empty(n)
+    cycles, offset = [], 0
+    for half in halves:
+        cycles.append(ring(g, offset, half, rng.choice((BLUE, RED))))
+        offset += 2 * half
+    for i in range(len(cycles)):
+        for j in range(i + 1, len(cycles)):
+            pick = rng.randrange(3)
+            if pick:
+                a, b = (cycles[i], cycles[j]) if pick == 1 else (cycles[j], cycles[i])
+                dominate(g, a, b, rng.choice((BLUE, RED)))
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.sample(range(n), 2)
+        g.add_edge(u, v, rng.choice((BLUE, RED)))
+    return ac.closure_2m(g, seed, rng.choice(("B", "R", "random"))), cycles
+
+
+def two_square_coloring(code: int, first: Color):
+    """A complete coloring of range(8) in which A = 0 1 2 3 is a blue-first
+    and B = 4 5 6 7 a `first`-first alternating 4-cycle; bit k of the 20-bit
+    `code` makes the k-th other pair, in combinations order, red."""
+    a = AltCycle((0, 1, 2, 3), (BLUE, RED) * 2)
+    b = AltCycle((4, 5, 6, 7), (first, first.other) * 2)
+    on_cycles = {
+        frozenset((c.vertices[k], c.vertices[k - 1])): c.colors[k - 1]
+        for c in (a, b)
+        for k in range(4)
+    }
+    g, k = ac.empty(8), 0
+    for u, v in combinations(range(8), 2):
+        color = on_cycles.get(frozenset((u, v)))
+        if color is None:
+            color, k = (RED if code >> k & 1 else BLUE), k + 1
+        g.add_edge(u, v, color)
+    return g, a, b
+
+
+# Of all 2,097,152 such colorings, those on which merge_pair raised while a
+# route guessed which cycle dominates: in one argument order only, or, while
+# it also anchored only at the smallest cross edge, in both (G8b is 334939
+# blue). All of them now merge.
+ONE_ORDER_CODES = {
+    BLUE: (
+        72794, 72795, 189316, 189348, 451460, 451492, 494320, 494321, 554255, 554287,
+        597082, 597083, 816399, 816431, 1018608, 1018609, 29966, 29998, 232144, 232145,
+        292110, 292142, 334970, 334971, 713605, 713637, 756432, 756433, 859258, 859259,
+        975749, 975781,
+    ),
+    RED: (
+        78926, 78927, 183184, 183216, 445328, 445360, 500452, 500453, 548123, 548155,
+        603214, 603215, 810267, 810299, 1024740, 1024741, 23834, 23866, 238276, 238277,
+        285978, 286010, 341102, 341103, 707473, 707505, 762564, 762565, 865390, 865391,
+        969617, 969649,
+    ),
+}
+BOTH_ORDER_CODES = {
+    BLUE: (
+        29967, 29999, 232176, 232177, 292111, 292143, 334938, 334939, 713604, 713636,
+        756464, 756465, 859226, 859227, 975748, 975780,
+    ),
+    RED: (
+        23835, 23867, 238308, 238309, 285979, 286011, 341070, 341071, 707472, 707504,
+        762596, 762597, 865358, 865359, 969616, 969648,
+    ),
+}

@@ -90,10 +90,9 @@ def test_criterion_4_good_pair_merges(corpus):
         cycles = list(factor)
         for i in range(len(cycles)):
             for j in range(i + 1, len(cycles)):
-                pair = ac.find_good_pair(g, cycles[i], cycles[j])
-                if pair is None:
+                merged = ac.merge_good_pair(g, cycles[i], cycles[j])
+                if merged is None:
                     continue
-                merged = ac.merge_good_pair(g, cycles[i], cycles[j], pair)
                 assert merged.well_formed()
                 assert ac.validate_cycle(g, merged)
                 assert len(merged) == len(cycles[i]) + len(cycles[j])

@@ -38,7 +38,7 @@ def test_add_edge_basic():
     assert g.has_edge_any(0, 1)
     assert not g.has_edge_any(0, 2)
     g.add_edge(1, 0, RED)
-    assert g.edge_colors(0, 1) == {BLUE, RED}
+    assert g.has_edge_color(0, 1, BLUE) and g.has_edge_color(0, 1, RED)
     assert g.edge_count() == 2
 
 
@@ -57,15 +57,6 @@ def test_add_edge_rejects_loops_and_bad_vertices():
         g.add_edge(0, 2, BLUE)
     with pytest.raises(OutOfRangeError):
         g.add_edge(-1, 0, RED)
-
-
-def test_neighbors():
-    g = ac.empty(4)
-    g.add_edge(0, 1, BLUE).add_edge(0, 2, RED).add_edge(0, 2, BLUE)
-    assert g.neighbors_by_color(0, BLUE) == {1, 2}
-    assert g.neighbors_by_color(0, RED) == {2}
-    assert g.neighbors_any(0) == {1, 2}
-    assert g.neighbors_any(3) == set()
 
 
 def test_edges_sorted():
@@ -93,6 +84,9 @@ def test_induced_subgraph():
     assert sub.has_edge_color(0, 1, BLUE)  # old (0, 3)
     assert sub.has_edge_color(1, 2, RED)  # old (3, 4)
     assert sub.edge_count() == 2
+    for outside in (5, -1):
+        with pytest.raises(OutOfRangeError, match=rf"^vertex {outside} outside 0\.\.4$"):
+            induced_subgraph(g, [0, outside])
 
 
 def test_parse_text():

@@ -11,7 +11,6 @@ import altcycles as ac
 from altcycles import (
     BLUE,
     RED,
-    Color,
     Dominates,
     HamiltonianCycle,
     Merged,
@@ -23,7 +22,6 @@ from altcycles import (
 from altcycles.cycles import AltCycle, cycle_from_vertex_sequence
 from altcycles.graph import OutOfRangeError
 from altcycles.merge import (
-    InvalidPairError,
     MergeError,
     NotColorConnectedCert,
     NotOnCycleError,
@@ -33,18 +31,22 @@ from altcycles.merge import (
     merge_pair,
 )
 from conftest import (
+    BOTH_ORDER_CODES,
     G8,
     G8b,
     G12,
+    ONE_ORDER_CODES,
     complete_within,
     dominate,
     domination_pair_graph,
     not_color_connected_graph,
+    planted_instance,
     ring,
     small_corpus,
     solve_corpus_graphs,
     triangle_graph,
     two_cycle_gap_graph,
+    two_square_coloring,
 )
 
 
@@ -107,10 +109,8 @@ def test_good_pair_found_and_merged():
     c1 = ring(g, 0, 2)
     c2 = ring(g, 4, 2)
     g.add_edge(0, 4, BLUE).add_edge(1, 5, BLUE)
-    pair = ac.find_good_pair(g, c1, c2)
-    assert pair is not None
-    assert (pair.i, pair.j, pair.orientation, pair.color) == (0, 0, 1, BLUE)
-    merged = ac.merge_good_pair(g, c1, c2, pair)
+    merged = ac.merge_good_pair(g, c1, c2)
+    assert merged.vertices == (0, 4, 7, 6, 5, 1, 2, 3)
     assert ac.validate_cycle(g, merged)
     assert len(merged) == len(c1) + len(c2)
     assert merged.vertex_set() == c1.vertex_set() | c2.vertex_set()
@@ -121,9 +121,8 @@ def test_good_pair_other_orientation():
     c1 = ring(g, 0, 2)
     c2 = ring(g, 4, 2)
     g.add_edge(0, 5, BLUE).add_edge(1, 4, BLUE)
-    pair = ac.find_good_pair(g, c1, c2)
-    assert pair is not None and pair.orientation == 2
-    merged = ac.merge_good_pair(g, c1, c2, pair)
+    merged = ac.merge_good_pair(g, c1, c2)
+    assert merged.vertices == (0, 5, 6, 7, 4, 1, 2, 3)
     assert ac.validate_cycle(g, merged)
     assert len(merged) == 8
 
@@ -134,17 +133,7 @@ def test_good_pair_requires_matching_colors():
     c2 = ring(g, 4, 2)
     # cross edges of the wrong color for every cycle edge they span
     g.add_edge(0, 4, RED).add_edge(1, 5, RED)
-    assert ac.find_good_pair(g, c1, c2) is None
-
-
-def test_merge_good_pair_rejects_bogus_pair():
-    g = ac.empty(8)
-    c1 = ring(g, 0, 2)
-    c2 = ring(g, 4, 2)
-    from altcycles.merge import GoodPair
-
-    with pytest.raises(InvalidPairError):
-        ac.merge_good_pair(g, c1, c2, GoodPair(0, 0, 1, BLUE))
+    assert ac.merge_good_pair(g, c1, c2) is None
 
 
 def test_good_pair_soundness_over_corpus():
@@ -156,10 +145,9 @@ def test_good_pair_soundness_over_corpus():
         cycles = list(factor)
         for i in range(len(cycles)):
             for j in range(i + 1, len(cycles)):
-                pair = ac.find_good_pair(g, cycles[i], cycles[j])
-                if pair is None:
+                merged = ac.merge_good_pair(g, cycles[i], cycles[j])
+                if merged is None:
                     continue
-                merged = ac.merge_good_pair(g, cycles[i], cycles[j], pair)
                 assert ac.validate_cycle(g, merged)
                 assert len(merged) == len(cycles[i]) + len(cycles[j])
                 checked += 1
@@ -191,28 +179,39 @@ def test_merge_pair_rejects_vertices_outside_the_graph():
             ac.merge_pair(g, *pair)
 
 
+def test_merge_pair_rejects_overlapping_cycles():
+    """Cycles that share a vertex are no merge input: a ValueError, before
+    any verdict is sought."""
+    g = ac.gen_complete(8, 3)
+    (cycle,) = ac.find_alternating_cycle_factor(g)
+    assert len(cycle) == 8
+    part = AltCycle(cycle.vertices[3:5], (BLUE, RED))
+    for pair in ((cycle, cycle), (cycle, cycle.reverse()), (cycle, part)):
+        for c1, c2 in (pair, pair[::-1]):
+            with pytest.raises(ValueError, match="^the cycles share a vertex$"):
+                ac.merge_pair(g, c1, c2)
+
+
 def test_merge_pair_mixed_star():
     for s1, s3, expect in (
-        (0, 0, "merge mixed-star"),
-        (1, 1, "merge mixed-star"),
-        (0, 1, "merge good-pair"),
-        (1, 0, "merge good-pair"),
+        (0, 0, "mixed-star"),
+        (1, 1, "mixed-star"),
+        (0, 1, "good-pair"),
+        (1, 0, "good-pair"),
     ):
         g, c1, c2 = mixed_star_graph(s1, s3)
-        trace: list[str] = []
-        out = ac.merge_pair(g, c1, c2, trace)
+        out = ac.merge_pair(g, c1, c2)
         assert isinstance(out, Merged)
-        assert trace == [expect]
+        assert out.rule == expect
         assert ac.validate_cycle(g, out.cycle)
         assert out.cycle.vertex_set() == set(range(8))
 
 
 def test_merge_pair_domination_verdict():
     g, c1, c2 = domination_pair_graph()
-    trace: list[str] = []
-    out = ac.merge_pair(g, c1, c2, trace)
+    out = ac.merge_pair(g, c1, c2)
     assert out == Dominates(source=1, color=BLUE)
-    assert ac.find_good_pair(g, c1, c2) is None
+    assert ac.merge_good_pair(g, c1, c2) is None
     assert ac.color_dominates(g, c1, c2) is BLUE
     assert ac.color_dominates(g, c2, c1) is None
     # swapped arguments report the same domination from the other side
@@ -263,6 +262,16 @@ def test_color_dominates_matches_pairwise_reference():
     assert set(seen) == {BLUE, RED, None}
 
 
+def test_color_dominates_rejects_vertices_outside_the_graph():
+    g = ac.empty(8)
+    c1 = ring(g, 4, 2)
+    for bad, named in (((0, 1, 2, 30), 30), ((0, 1, 2, -3), -3)):
+        c2 = AltCycle(bad, (BLUE, RED) * 2)
+        for pair in ((c1, c2), (c2, c1)):
+            with pytest.raises(OutOfRangeError, match=rf"^vertex {named} outside 0\.\.7$"):
+                ac.color_dominates(g, *pair)
+
+
 def test_merge_pair_label_invariant():
     g, c1, c2 = domination_pair_graph()
     base = ac.merge_pair(g, c1, c2)
@@ -274,10 +283,9 @@ def test_merge_pair_label_invariant():
 def test_merge_pair_chord_inside_even_class():
     g, c1, c2 = domination_pair_graph()
     g.add_edge(0, 4, RED)  # second color on an even-class pair
-    trace: list[str] = []
-    out = ac.merge_pair(g, c1, c2, trace)
+    out = ac.merge_pair(g, c1, c2)
     assert isinstance(out, Merged)
-    assert trace == ["merge chord"]
+    assert out.rule == "chord"
     assert ac.validate_cycle(g, out.cycle)
     assert out.cycle.vertex_set() == set(range(10))
 
@@ -406,8 +414,8 @@ def record_merge_calls(monkeypatch) -> list:
     the returned list."""
     calls = []
 
-    def recording(g, c1, c2, trace=None):
-        outcome = merge_pair(g, c1, c2, trace)
+    def recording(g, c1, c2):
+        outcome = merge_pair(g, c1, c2)
         calls.append((g, c1, c2, outcome))
         return outcome
 
@@ -437,7 +445,8 @@ def test_dominates_verdicts_are_one_way_and_match_the_first_edge(monkeypatch):
     for g, c1, c2, outcome in seen:
         src, dst = (c1, c2) if outcome.source == 1 else (c2, c1)
         assert ac.color_dominates(g, dst, src) is None
-        assert g.edge_colors(src.vertices[0], dst.vertices[0]) == {outcome.color}
+        u, v = src.vertices[0], dst.vertices[0]
+        assert [c for c in (BLUE, RED) if g.has_edge_color(u, v, c)] == [outcome.color]
 
 
 def test_merge_pair_verdict_kind_ignores_argument_order(monkeypatch):
@@ -453,6 +462,38 @@ def test_merge_pair_verdict_kind_ignores_argument_order(monkeypatch):
             assert swapped == Dominates(3 - outcome.source, outcome.color)
         else:
             assert type(swapped) is type(outcome)
+
+
+def _verdict_lines(outcome) -> list[str]:
+    """The trace lines `solve --trace` prints for one merge_pair verdict."""
+    if isinstance(outcome, Merged):
+        return [f"merge {outcome.rule}"]
+    if isinstance(outcome, Dominates):
+        return [f"dominate {outcome.source} {3 - outcome.source} {outcome.color.value}"]
+    return []
+
+
+def test_trace_is_rendered_from_the_verdicts(monkeypatch):
+    """Over whole-solver runs, the trace less its `merge triangle` lines is
+    the rendering of merge_pair's verdicts in call order, and every merge
+    names one of the three pairwise rules: the trace carries nothing that
+    the verdicts do not."""
+    calls = record_merge_calls(monkeypatch)
+    solves = [
+        (lambda trace, g=g, cycles=cycles: ac.solve_from_factor(g, cycles, trace))
+        for g, cycles in map(planted_instance, range(300))
+    ] + [
+        (lambda trace, g=g: ac.solve_hamiltonian(g, trace)) for g in solve_corpus_graphs(seed=1)
+    ]
+    for solve in solves:
+        first, trace = len(calls), []
+        with contextlib.suppress(StructureViolation):  # the open 2-cycle gap
+            solve(trace)
+        rendered = [line for *_, outcome in calls[first:] for line in _verdict_lines(outcome)]
+        assert [line for line in trace if not line.startswith("merge triangle ")] == rendered
+    rules = Counter(outcome.rule for *_, outcome in calls if isinstance(outcome, Merged))
+    assert set(rules) <= {"good-pair", "mixed-star", "chord"}
+    assert rules["good-pair"] and rules["chord"]
 
 
 def test_dominated_pairs_span_no_alternating_cycle():
@@ -552,8 +593,8 @@ def test_solve_rejects_non_spanning_merge(monkeypatch):
     g = ac.gen_complete(12, 0)
     assert len(ac.find_alternating_cycle_factor(g)) == 3
 
-    def drop_second(g, c1, c2, trace=None):
-        return Merged(c1)  # a valid cycle that loses V(c2)
+    def drop_second(g, c1, c2):
+        return Merged(c1, "chord")  # a valid cycle that loses V(c2)
 
     monkeypatch.setattr("altcycles.merge.merge_pair", drop_second)
     with pytest.raises(StructureViolation):
@@ -618,56 +659,6 @@ def test_merge_argument_order_gap():
         assert isinstance(result, HamiltonianCycle)
         assert result.cycle.vertices == (1, 4, 7, 5, 6, 0, 3, 2)
         assert trace == ["merge chord"]
-
-
-def two_square_coloring(code: int, first: Color):
-    """A complete coloring of range(8) in which A = 0 1 2 3 is a blue-first
-    and B = 4 5 6 7 a `first`-first alternating 4-cycle; bit k of the 20-bit
-    `code` makes the k-th other pair, in combinations order, red."""
-    a = AltCycle((0, 1, 2, 3), (BLUE, RED) * 2)
-    b = AltCycle((4, 5, 6, 7), (first, first.other) * 2)
-    on_cycles = {
-        frozenset((c.vertices[k], c.vertices[k - 1])): c.colors[k - 1]
-        for c in (a, b)
-        for k in range(4)
-    }
-    g, k = ac.empty(8), 0
-    for u, v in combinations(range(8), 2):
-        color = on_cycles.get(frozenset((u, v)))
-        if color is None:
-            color, k = (RED if code >> k & 1 else BLUE), k + 1
-        g.add_edge(u, v, color)
-    return g, a, b
-
-
-# Of all 2,097,152 such colorings, those on which merge_pair raised while a
-# route guessed which cycle dominates: in one argument order only, or, while
-# it also anchored only at the smallest cross edge, in both (G8b is 334939
-# blue). All of them now merge.
-ONE_ORDER_CODES = {
-    BLUE: (
-        72794, 72795, 189316, 189348, 451460, 451492, 494320, 494321, 554255, 554287,
-        597082, 597083, 816399, 816431, 1018608, 1018609, 29966, 29998, 232144, 232145,
-        292110, 292142, 334970, 334971, 713605, 713637, 756432, 756433, 859258, 859259,
-        975749, 975781,
-    ),
-    RED: (
-        78926, 78927, 183184, 183216, 445328, 445360, 500452, 500453, 548123, 548155,
-        603214, 603215, 810267, 810299, 1024740, 1024741, 23834, 23866, 238276, 238277,
-        285978, 286010, 341102, 341103, 707473, 707505, 762564, 762565, 865390, 865391,
-        969617, 969649,
-    ),
-}
-BOTH_ORDER_CODES = {
-    BLUE: (
-        29967, 29999, 232176, 232177, 292111, 292143, 334938, 334939, 713604, 713636,
-        756464, 756465, 859226, 859227, 975748, 975780,
-    ),
-    RED: (
-        23835, 23867, 238308, 238309, 285979, 286011, 341070, 341071, 707472, 707504,
-        762596, 762597, 865358, 865359, 969616, 969648,
-    ),
-}
 
 
 def test_merge_order_gap_colorings():
@@ -789,33 +780,6 @@ def test_solve_from_factor_fires_each_rule(build, expected_trace):
     result = ac.solve_from_factor(g, cycles, trace)
     assert trace == expected_trace
     _assert_matches_oracle(g, result)
-
-
-def planted_instance(seed: int):
-    """2-M closure of 2-4 planted rings (half-lengths 1-3, n <= 12) with a
-    random domination, either way or none, per ring pair and 0-3 stray
-    edges; returns the graph and the planted cycles, still a factor of it."""
-    rng = random.Random(seed)
-    while True:
-        halves = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
-        if sum(halves) <= 6:
-            break
-    n = 2 * sum(halves)
-    g = ac.empty(n)
-    cycles, offset = [], 0
-    for half in halves:
-        cycles.append(ring(g, offset, half, rng.choice((BLUE, RED))))
-        offset += 2 * half
-    for i in range(len(cycles)):
-        for j in range(i + 1, len(cycles)):
-            pick = rng.randrange(3)
-            if pick:
-                a, b = (cycles[i], cycles[j]) if pick == 1 else (cycles[j], cycles[i])
-                dominate(g, a, b, rng.choice((BLUE, RED)))
-    for _ in range(rng.randint(0, 3)):
-        u, v = rng.sample(range(n), 2)
-        g.add_edge(u, v, rng.choice((BLUE, RED)))
-    return ac.closure_2m(g, seed, rng.choice(("B", "R", "random"))), cycles
 
 
 def test_solve_from_factor_on_planted_factors():

@@ -1,0 +1,152 @@
+"""Digest the library's outputs on a fixed corpus, so that a refactor can
+show it keeps them.
+
+    python tools/equivalence.py digest ROOT
+    python tools/equivalence.py compare A B
+
+`digest` imports `altcycles` from ROOT/src and runs it on the corpus below,
+built by the generators in this repository's `tests/` (`bench/` is read
+only through `conftest.bench_module`). It writes one line per entry, the
+entry's id and a sha256 over the call's input, its normalized result, its
+trace and any `MergeError`'s type, message and offenders. `Merged.rule` is
+left out of the result, so checkouts from before verdicts named their rule
+still compare; the solver traces carry the rule.
+
+`compare` digests both checkouts, in two processes at once, lists the
+entries whose digests differ or that only one side has, and exits 1 if
+there is any.
+
+The corpus, 29,904 entries:
+- planted seeds 0-5999 through `solve_from_factor`, in both cycle orders,
+  and through `solve_hamiltonian`;
+- `merge_pair` both ways on the planted cycle pairs of seeds 0-1499;
+- the benchmark's solve-corpus pools of seeds 1-3, through
+  `solve_hamiltonian`;
+- `gen_complete` for even n 4-80 and seeds 0-2, likewise;
+- 3000 graphs `closure_2m(gen_random(4 + s % 11, s, 0.3), s)`, likewise;
+- the 96 two-square colorings that once raised, in both cycle orders;
+- the fixtures G8, G8b and G12 on their factors.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _load(root: Path):
+    """`altcycles` from root/src and the test generators from this repo."""
+    src = (root / "src").resolve()
+    sys.path[:0] = [str(src), str(REPO / "tests")]
+    import altcycles
+    import conftest
+
+    if Path(altcycles.__file__).resolve().parent != src / "altcycles":
+        raise SystemExit(f"altcycles was imported from {altcycles.__file__}, not {src}")
+    return altcycles, conftest
+
+
+def entries(ac, fx):
+    """(id, function, args) per corpus entry; each function takes a trace
+    list after its args."""
+
+    def merge(g, c1, c2, trace):
+        return ac.merge_pair(g, c1, c2)
+
+    solve, from_factor = ac.solve_hamiltonian, ac.solve_from_factor
+    for seed in range(6000):
+        g, cycles = fx.planted_instance(seed)
+        yield f"planted {seed} forward", from_factor, (g, cycles)
+        yield f"planted {seed} reversed", from_factor, (g, cycles[::-1])
+        yield f"planted {seed} solve", solve, (g,)
+        if seed < 1500:
+            for i, c1 in enumerate(cycles):
+                for j, c2 in enumerate(cycles):
+                    if i != j:
+                        yield f"merge-pair {seed} {i} {j}", merge, (g, c1, c2)
+    for seed in (1, 2, 3):
+        for k, g in enumerate(fx.solve_corpus_graphs(seed)):
+            yield f"solve-corpus {seed} {k}", solve, (g,)
+    for n in range(4, 81, 2):
+        for seed in range(3):
+            yield f"complete {n} {seed}", solve, (ac.gen_complete(n, seed),)
+    for s in range(3000):
+        yield f"closure {s}", solve, (ac.closure_2m(ac.gen_random(4 + s % 11, s, 0.3), s),)
+    for first in (ac.BLUE, ac.RED):
+        for code in (*fx.ONE_ORDER_CODES[first], *fx.BOTH_ORDER_CODES[first]):
+            g, a, b = fx.two_square_coloring(code, first)
+            yield f"two-square {first.value} {code} ab", from_factor, (g, [a, b])
+            yield f"two-square {first.value} {code} ba", from_factor, (g, [b, a])
+    for name in ("G8", "G8b", "G12"):
+        g, cycles = getattr(fx, name)()
+        yield f"fixture {name}", from_factor, (g, cycles)
+
+
+def digest(root: Path) -> list[tuple[str, str]]:
+    ac, fx = _load(root)
+    out = []
+    for key, fn, args in entries(ac, fx):
+        trace: list[str] = []
+        try:
+            result, error = fn(*args, trace), None
+            if isinstance(result, ac.Merged):  # leave out `rule`
+                result = ("Merged", result.cycle)
+        except ac.merge.MergeError as exc:
+            result = None
+            error = (type(exc).__name__, str(exc), repr(getattr(exc, "offenders", None)))
+        given = (ac.serialize_text(args[0]), repr(args[1:]))
+        payload = repr((given, result, trace, error)).encode()
+        out.append((key, hashlib.sha256(payload).hexdigest()))
+    return out
+
+
+def compare(a: Path, b: Path) -> int:
+    procs = [
+        subprocess.Popen(
+            [sys.executable, __file__, "digest", str(root)],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for root in (a, b)
+    ]
+    sides = []
+    for root, proc in zip((a, b), procs):
+        text, _ = proc.communicate()
+        if proc.returncode:
+            raise SystemExit(f"digest of {root} failed with exit code {proc.returncode}")
+        sides.append(dict(line.rsplit(" ", 1) for line in text.splitlines()))
+    da, db = sides
+    keys = list(da) + [k for k in db if k not in da]
+    differ = [k for k in keys if da.get(k) != db.get(k)]
+    for k in differ:
+        note = "only in A" if k not in db else "only in B" if k not in da else "differs"
+        print(f"{note}: {k}")
+    print(f"{len(differ)} of {len(keys)} entries differ")
+    return 1 if differ else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("digest", help="one sha256 per corpus entry")
+    p.add_argument("root", type=Path, help="checkout whose src/ to run")
+    p = sub.add_parser("compare", help="list the entries whose digests differ")
+    p.add_argument("a", type=Path)
+    p.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "compare":
+        return compare(args.a, args.b)
+    start = time.perf_counter()
+    lines = [f"{key} {h}\n" for key, h in digest(args.root)]
+    sys.stdout.writelines(lines)
+    print(f"{len(lines)} entries in {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
