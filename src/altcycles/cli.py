@@ -34,7 +34,8 @@ EXIT_PARSE = 65
 EXIT_SOFTWARE = 70
 
 # `gen_counterexample` checks itself by the exponential alternating-path
-# search: 32 vertices take 1-2 s, and each step of k1 + k2 about doubles it.
+# search: 32 vertices take 0.2-0.7 s, and each step of k1 + k2 multiplies
+# that by about 1.6.
 MAX_COUNTEREXAMPLE_VERTICES = 32
 
 

@@ -157,9 +157,13 @@ def empty(n: int) -> ColoredMultigraph:
 def induced_subgraph(
     g: ColoredMultigraph, vertices: list[int]
 ) -> tuple[ColoredMultigraph, list[int]]:
-    """Subgraph on `vertices`, relabelled 0..k-1; returns (subgraph, old labels)."""
+    """Subgraph on `vertices`, relabelled 0..k-1; returns (subgraph, old labels).
+    Raises ValueError on a repeated vertex."""
     order = sorted(vertices)
     index = {v: i for i, v in enumerate(order)}
+    if len(index) != len(order):
+        repeated = next(u for u, v in zip(order, order[1:]) if u == v)
+        raise ValueError(f"vertex {repeated} repeated")
     sub = ColoredMultigraph(len(order))
     for u in order:
         g._check_vertex(u)

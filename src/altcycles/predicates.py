@@ -180,19 +180,25 @@ class ColorConnectivityWitness:
 
 
 def color_connectivity_witness(g: ColoredMultigraph) -> ColorConnectivityWitness | None:
-    # a path reversed swaps (first, last), so unordered pairs suffice
+    # a path reversed swaps (first, last), so unordered pairs suffice. A pair
+    # passes on (BB and RR) or (BR and RB): each search runs only when the
+    # verdict still needs it, and only the failing pair gets all four
     for x in range(g.n):
         for y in range(x + 1, g.n):
-            ex = {
-                (f, l): exists_alternating_path(g, x, y, f, l) is not None
-                for f in Color
-                for l in Color
-            }
-            ok = (ex[(BLUE, BLUE)] and ex[(RED, RED)]) or (
-                ex[(BLUE, RED)] and ex[(RED, BLUE)]
-            )
-            if not ok:
-                return ColorConnectivityWitness(x, y, ex)
+            ex: dict[tuple[Color, Color], bool] = {}
+
+            def found(first: Color, last: Color) -> bool:
+                if (first, last) not in ex:
+                    path = exists_alternating_path(g, x, y, first, last)
+                    ex[(first, last)] = path is not None
+                return ex[(first, last)]
+
+            if (found(BLUE, BLUE) and found(RED, RED)) or (
+                found(BLUE, RED) and found(RED, BLUE)
+            ):
+                continue
+            table = {(f, l): found(f, l) for f in Color for l in Color}
+            return ColorConnectivityWitness(x, y, table)
     return None
 
 

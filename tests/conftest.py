@@ -165,11 +165,22 @@ def bench_module(name: str):
     return module
 
 
+def bench_pool_graphs(workload: str, seed: int) -> list[ColoredMultigraph]:
+    """The benchmark's pool of `workload` (`bench/workloads.py`) for `seed`,
+    parsed."""
+    pool = bench_module("workloads").WORKLOADS[workload].make_pool(seed)
+    return [ac.parse_text(e.text) for e in pool]
+
+
 def solve_corpus_graphs(seed: int) -> list[ColoredMultigraph]:
-    """The benchmark's solve-corpus pool (`bench/workloads.py`) for `seed`,
-    parsed: small graphs of all four solve verdicts."""
-    workloads = bench_module("workloads")
-    return [ac.parse_text(e.text) for e in workloads.SolveCorpus().make_pool(seed)]
+    """The solve-corpus pool: small graphs of all four solve verdicts."""
+    return bench_pool_graphs("solve-corpus", seed)
+
+
+def color_connected_graphs(seed: int) -> list[ColoredMultigraph]:
+    """The color-connected pool: random n=12 graphs and relabelled
+    counterexample-family graphs."""
+    return bench_pool_graphs("color-connected", seed)
 
 
 def planted_instance(seed: int):

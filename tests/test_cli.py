@@ -66,6 +66,14 @@ def test_check_color_connected_deep_search(capsys, write_graph):
     assert out.splitlines()[:2] == ["false", "witness pair 0 1"]
 
 
+def test_check_color_connected_searches_only_what_the_verdict_needs(capsys, write_graph):
+    # connected: two searches settle each pair. Running all four per pair,
+    # exhaustive when they find nothing, took about 90 s on a two-vCPU VM
+    path = write_graph(ac.gen_random(20, 7, 0.3))
+    code, out, err = run(capsys, "check", "--predicate", "color-connected", path)
+    assert (code, out, err) == (0, "true\n", "")
+
+
 def test_check_2nm(capsys, write_graph):
     g = ac.empty(3)
     g.add_edge(0, 1, BLUE).add_edge(1, 2, RED)

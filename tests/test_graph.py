@@ -87,6 +87,10 @@ def test_induced_subgraph():
     for outside in (5, -1):
         with pytest.raises(OutOfRangeError, match=rf"^vertex {outside} outside 0\.\.4$"):
             induced_subgraph(g, [0, outside])
+    with pytest.raises(ValueError, match=r"^vertex 3 repeated$"):
+        induced_subgraph(g, [0, 3, 3])
+    sub, labels = induced_subgraph(g, {3, 0})  # a set, as oracle_merge passes
+    assert (labels, sub.n, sub.edge_count()) == ([0, 3], 2, 1)
 
 
 def test_parse_text():

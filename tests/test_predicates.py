@@ -5,10 +5,11 @@ import random
 import pytest
 
 import altcycles as ac
-from altcycles import BLUE, RED
+from altcycles import BLUE, RED, Color, predicates
 from altcycles.graph import OutOfRangeError
 from altcycles.predicates import (
     AltPath,
+    ColorConnectivityWitness,
     TwoPath,
     closed_alternating_witness,
     color_connectivity_witness,
@@ -135,6 +136,74 @@ def test_color_connectivity_witness_fields():
         w.existence.get((a, b), False) for (a, b) in ((BLUE, RED), (RED, BLUE))
     )
     assert not same and not crossed
+
+
+def test_witness_runs_only_the_searches_its_verdict_needs(monkeypatch):
+    calls = []
+    search = predicates.exists_alternating_path
+
+    def counted(g, x, y, first, last):
+        calls.append((x, y, first, last))
+        return search(g, x, y, first, last)
+
+    monkeypatch.setattr(predicates, "exists_alternating_path", counted)
+    g = ac.empty(6)
+    for u in range(6):
+        for v in range(u + 1, 6):
+            g.add_edge(u, v, BLUE).add_edge(u, v, RED)
+    # every pair's BB and RR paths are its own two edges: RR settles it
+    assert color_connectivity_witness(g) is None
+    assert calls == [(x, y, c, c) for x in range(6) for y in range(x + 1, 6) for c in Color]
+
+    calls.clear()
+    g, _cycles = not_color_connected_graph()
+    w = color_connectivity_witness(g)
+    assert list(w.existence) == [(BLUE, BLUE), (BLUE, RED), (RED, BLUE), (RED, RED)]
+    # the witness pair searched each (first, last) once, each pair before
+    # it at most four times
+    at_witness = [c[2:] for c in calls if c[:2] == (w.x, w.y)]
+    assert len(at_witness) == 4 and set(at_witness) == set(w.existence)
+    assert calls[-1][:2] == (w.x, w.y)
+    assert len(calls) <= 4 * len({c[:2] for c in calls})
+
+
+def eager_color_connectivity_witness(g):
+    """Reference: the witness with all four searches run for every pair."""
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            ex = {
+                (f, l): ac.exists_alternating_path(g, x, y, f, l) is not None
+                for f in Color
+                for l in Color
+            }
+            ok = (ex[(BLUE, BLUE)] and ex[(RED, RED)]) or (
+                ex[(BLUE, RED)] and ex[(RED, BLUE)]
+            )
+            if not ok:
+                return ColorConnectivityWitness(x, y, ex)
+    return None
+
+
+def test_lazy_witness_matches_eager_reference():
+    graphs = [ac.gen_random(2 + s % 11, s, 0.1 + 0.4 * (s % 9) / 8) for s in range(500)]
+    rng = random.Random(12)
+    for k1, k2 in ((2, 2), (2, 3), (3, 3), (2, 4)):
+        base = ac.gen_counterexample(k1, k2)
+        for _ in range(3):
+            perm = rng.sample(range(base.n), base.n)
+            edges = base.edges()
+            drop = rng.randrange(len(edges))
+            for keep in (edges, edges[:drop] + edges[drop + 1 :]):
+                h = ac.empty(base.n)
+                for u, v, c in keep:
+                    h.add_edge(perm[u], perm[v], c)
+                graphs.append(h)
+    verdicts = {True: 0, False: 0}
+    for g in graphs:
+        got = color_connectivity_witness(g)
+        assert repr(got) == repr(eager_color_connectivity_witness(g))
+        verdicts[got is None] += 1
+    assert min(verdicts.values()) > 50
 
 
 def test_color_connected_monotone_under_supergraph():

@@ -16,13 +16,17 @@ still compare; the solver traces carry the rule.
 entries whose digests differ or that only one side has, and exits 1 if
 there is any.
 
-The corpus, 29,904 entries:
+The corpus, 31,744 entries:
 - planted seeds 0-5999 through `solve_from_factor`, in both cycle orders,
   and through `solve_hamiltonian`;
 - `merge_pair` both ways on the planted cycle pairs of seeds 0-1499;
 - the benchmark's solve-corpus pools of seeds 1-3, through
+  `solve_hamiltonian`, and its color-connected pools of seeds 1-3, through
+  `color_connectivity_witness`;
+- `gen_counterexample(k1, k2)` for 2 <= k1 <= k2 <= 5, through
+  `color_connectivity_witness`;
+- `gen_complete` for even n 4-80 and seeds 0-2, through
   `solve_hamiltonian`;
-- `gen_complete` for even n 4-80 and seeds 0-2, likewise;
 - 3000 graphs `closure_2m(gen_random(4 + s % 11, s, 0.3), s)`, likewise;
 - the 96 two-square colorings that once raised, in both cycle orders;
 - the fixtures G8, G8b and G12 on their factors.
@@ -58,6 +62,9 @@ def entries(ac, fx):
     def merge(g, c1, c2, trace):
         return ac.merge_pair(g, c1, c2)
 
+    def witness(g, trace):
+        return ac.predicates.color_connectivity_witness(g)
+
     solve, from_factor = ac.solve_hamiltonian, ac.solve_from_factor
     for seed in range(6000):
         g, cycles = fx.planted_instance(seed)
@@ -72,6 +79,11 @@ def entries(ac, fx):
     for seed in (1, 2, 3):
         for k, g in enumerate(fx.solve_corpus_graphs(seed)):
             yield f"solve-corpus {seed} {k}", solve, (g,)
+        for k, g in enumerate(fx.color_connected_graphs(seed)):
+            yield f"color-connected {seed} {k}", witness, (g,)
+    for k1 in range(2, 6):
+        for k2 in range(k1, 6):
+            yield f"counterexample {k1} {k2}", witness, (ac.gen_counterexample(k1, k2),)
     for n in range(4, 81, 2):
         for seed in range(3):
             yield f"complete {n} {seed}", solve, (ac.gen_complete(n, seed),)
