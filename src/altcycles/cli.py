@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from . import generate, oracles
-from .cycles import AltCycle, CycleFactor
+from .cycles import AltCycle
 from .factor import find_alternating_cycle_factor
 from .graph import BLUE, MAX_VERTICES, ColoredMultigraph, ParseError, parse_text, serialize_text
 from .merge import (
@@ -149,11 +149,11 @@ def _cmd_solve(args) -> int:
     return EXIT_NOT_2M_CLOSED
 
 
-def _print_factor(factor: CycleFactor | None) -> int:
+def _print_factor(factor: tuple[AltCycle, ...] | None) -> int:
     if factor is None:
         print("none")
         return EXIT_FALSE
-    for cycle in sorted(factor, key=lambda c: min(c.vertices)):
+    for cycle in factor:
         print(_cycle_line(cycle))
     return EXIT_OK
 
@@ -178,6 +178,8 @@ def _cmd_generate(args) -> int:
         return _usage_error(f"need {low} <= --n <= {MAX_VERTICES}")
     elif args.family == "complete-random":
         g = generate.gen_complete(args.n, args.seed)
+    elif not 0 <= args.density <= 1:  # NaN fails too
+        return _usage_error("need 0 <= --density <= 1")
     else:
         base = generate.gen_random(args.n, args.seed, args.density)
         g = generate.closure_2m(base, args.seed, args.color)

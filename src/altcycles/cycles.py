@@ -1,7 +1,7 @@
 """Alternating cycles and cycle factors."""
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .graph import BLUE, Color, ColoredMultigraph
@@ -77,22 +77,9 @@ class AltCycle:
         return all(self.colors[k] != self.colors[(k + 1) % m] for k in range(m))
 
 
-@dataclass(frozen=True)
-class CycleFactor:
-    cycles: tuple[AltCycle, ...]
-
-    def __len__(self) -> int:
-        return len(self.cycles)
-
-    def __iter__(self):
-        return iter(self.cycles)
-
-
-def decode_cycles(
-    partner: Mapping[Color, Mapping[int, int] | Sequence[int]], n: int
-) -> list[AltCycle]:
+def decode_cycles(partner: Mapping[Color, Sequence[int]], n: int) -> tuple[AltCycle, ...]:
     """Cycles of the factor in which v's blue and red partners are
-    partner[BLUE][v] and partner[RED][v] (dicts or lists indexed by vertex).
+    partner[BLUE][v] and partner[RED][v].
 
     Each cycle starts at its smallest vertex and takes the blue edge first;
     cycles come in order of their smallest vertex.
@@ -114,7 +101,7 @@ def decode_cycles(
             verts.append(u)
             v, color = u, color.other
         cycles.append(AltCycle(tuple(verts), tuple(cols)))
-    return cycles
+    return tuple(cycles)
 
 
 def validate_cycle(g: ColoredMultigraph, cycle: AltCycle) -> bool:
@@ -129,9 +116,9 @@ def validate_cycle(g: ColoredMultigraph, cycle: AltCycle) -> bool:
     )
 
 
-def validate_factor(g: ColoredMultigraph, factor: CycleFactor) -> bool:
+def validate_factor(g: ColoredMultigraph, cycles: Iterable[AltCycle]) -> bool:
     covered: set[int] = set()
-    for cycle in factor:
+    for cycle in cycles:
         if not validate_cycle(g, cycle):
             return False
         vs = cycle.vertex_set()

@@ -9,33 +9,29 @@ from __future__ import annotations
 
 import networkx as nx
 
-from .cycles import CycleFactor, decode_cycles
+from .cycles import AltCycle, decode_cycles
 from .graph import Color, ColoredMultigraph
 
 
-def maximum_matching(
-    edges: list[tuple[object, object]], nodes: list[object] = ()
-) -> set[frozenset]:
-    """Maximum-cardinality matching of a plain graph (general graphs)."""
+def maximum_matching(edges: list[tuple[int, int]], n: int) -> list[int | None]:
+    """Each vertex's partner in a maximum-cardinality matching of the plain
+    graph on 0..n-1 with these edges, None where unmatched."""
     h = nx.Graph()
-    h.add_nodes_from(nodes)
+    h.add_nodes_from(range(n))
     h.add_edges_from(edges)
-    matching = nx.max_weight_matching(h, maxcardinality=True)
-    return {frozenset(e) for e in matching}
+    partner: list[int | None] = [None] * n
+    for u, v in nx.max_weight_matching(h, maxcardinality=True):
+        partner[u], partner[v] = v, u
+    return partner
 
 
-def find_alternating_cycle_factor(g: ColoredMultigraph) -> CycleFactor | None:
+def find_alternating_cycle_factor(g: ColoredMultigraph) -> tuple[AltCycle, ...] | None:
     """Alternating cycle factor of g, or None if none exists."""
     all_edges = g.edges()
-    partner: dict[Color, dict[int, int]] = {}
+    partner: dict[Color, list[int | None]] = {}
     for color in Color:
         edges = [(u, v) for u, v, c in all_edges if c is color]
-        matching = maximum_matching(edges, range(g.n))
-        if 2 * len(matching) != g.n:
+        partner[color] = maximum_matching(edges, g.n)
+        if None in partner[color]:
             return None
-        partner[color] = {}
-        for e in matching:
-            u, v = tuple(e)
-            partner[color][u] = v
-            partner[color][v] = u
-    return CycleFactor(tuple(decode_cycles(partner, g.n)))
+    return decode_cycles(partner, g.n)

@@ -21,13 +21,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cycles import (
-    AltCycle,
-    CycleFactor,
-    cycle_from_vertex_sequence,
-    validate_cycle,
-    validate_factor,
-)
+from . import factor
+from .cycles import AltCycle, cycle_from_vertex_sequence, validate_cycle, validate_factor
 from .graph import BLUE, RED, Color, ColoredMultigraph, OutOfRangeError, bits
 
 # Not called here: the benchmark's tracer hooks `altcycles.merge.oracle_merge`
@@ -37,10 +32,6 @@ from .predicates import TwoPath, two_m_violations
 
 
 class MergeError(Exception):
-    pass
-
-
-class NotOnCycleError(MergeError):
     pass
 
 
@@ -76,30 +67,6 @@ class Inapplicable:
 
 
 MergeOutcome = Merged | Dominates | NotAdjacent | Inapplicable
-
-
-@dataclass
-class DominationDigraph:
-    size: int
-    arcs: dict[tuple[int, int], Color]
-
-    def find_directed_triangle(self) -> tuple[int, int, int] | None:
-        for (i, j) in sorted(self.arcs):
-            for k in range(self.size):
-                if k in (i, j):
-                    continue
-                if (j, k) in self.arcs and (k, i) in self.arcs:
-                    return (i, j, k)
-        return None
-
-    def source(self) -> tuple[int, Color]:
-        """Node of out-degree size-1 with its out-arc color, which
-        `build_domination_digraph` has made the same on every out-arc."""
-        for i in range(self.size):
-            outs = [c for (a, _j), c in self.arcs.items() if a == i]
-            if len(outs) == self.size - 1:
-                return i, outs[0]
-        raise StructureViolation("no source of full out-degree", ())
 
 
 @dataclass(frozen=True)
@@ -144,15 +111,9 @@ SolveResult = HamiltonianCycle | NoFactor | NotColorConnected | NotTwoMClosed
 def appropriately_label(
     g: ColoredMultigraph, c1: AltCycle, c2: AltCycle, edge: tuple[int, int]
 ) -> tuple[AltCycle, AltCycle]:
-    """Relabel so the cross edge (x, y) starts both cycles and both first
-    cycle edges carry the cross edge's color (Blue if it has both)."""
+    """Relabel so the cross edge (x, y), x on c1 and y on c2, starts both
+    cycles and both first cycle edges carry its color (Blue if it has both)."""
     x, y = edge
-    if x not in c1.vertex_set():
-        raise NotOnCycleError(f"vertex {x} not on first cycle")
-    if y not in c2.vertex_set():
-        raise NotOnCycleError(f"vertex {y} not on second cycle")
-    if not g.has_edge_any(x, y):
-        raise MergeError(f"no edge between {x} and {y}")
     color = BLUE if g.has_edge_color(x, y, BLUE) else RED
     # rotate the anchor to the front; reversal keeps it there and flips the
     # first edge's color, and each cycle vertex has one cycle edge per color
@@ -345,9 +306,10 @@ def _off_pattern(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> Inapplicab
 
 def build_domination_digraph(
     size: int, verdicts: dict[tuple[int, int], MergeOutcome]
-) -> DominationDigraph:
-    """Digraph on `size` factor cycles with a colored arc per `Dominates`
-    among `merge_pair`'s verdicts on the pairs (i, j), i < j.
+) -> dict[tuple[int, int], Color]:
+    """Arcs (source, target) -> color of the digraph on `size` factor cycles
+    with an arc per `Dominates` among `merge_pair`'s verdicts on the pairs
+    (i, j), i < j.
 
     Precondition: the cycles' adjacency is connected (`solve_from_factor`
     certifies it first), so the digraph must be a tournament. Verifies the
@@ -369,7 +331,7 @@ def build_domination_digraph(
     for pair, verdict in verdicts.items():
         if isinstance(verdict, NotAdjacent):
             raise StructureViolation("component pair without arc", pair)
-    return DominationDigraph(size, arcs)
+    return arcs
 
 
 def merge_domination_triangle(
@@ -418,14 +380,11 @@ def solve_hamiltonian(
     violations = two_m_violations(g)
     if violations:
         return NotTwoMClosed(violations[0])
-    # Imported at call time, not for an import cycle (there is none): the
-    # benchmark's tracer replaces `factor.find_alternating_cycle_factor`.
-    from .factor import find_alternating_cycle_factor
-
-    factor = find_alternating_cycle_factor(g)
-    if factor is None or g.n == 0:
+    # looked up on the module: the benchmark's tracer replaces the attribute
+    cycles = factor.find_alternating_cycle_factor(g)
+    if not cycles:
         return NoFactor()
-    return solve_from_factor(g, factor, trace)
+    return solve_from_factor(g, cycles, trace)
 
 
 def solve_from_factor(
@@ -445,11 +404,11 @@ def solve_from_factor(
     StructureViolation when a final cycle does not validate or span g.
     """
     cycles = list(cycles)
-    if not cycles or not validate_factor(g, CycleFactor(tuple(cycles))):
+    if not cycles or not validate_factor(g, cycles):
         raise ValueError("cycles are not an alternating cycle factor of g")
-    cert = _disconnected_certificate(g, cycles)
-    if cert is not None:
-        return NotColorConnected(cert)
+    disconnected = _disconnected_certificate(g, cycles)
+    if disconnected is not None:
+        return disconnected
     while len(cycles) > 1:
         verdicts: dict[tuple[int, int], MergeOutcome] = {}
         for i, j in combinations(range(len(cycles)), 2):
@@ -462,35 +421,28 @@ def solve_from_factor(
         if isinstance(outcome, Merged):
             cycles = [c for k, c in enumerate(cycles) if k not in (i, j)] + [outcome.cycle]
             continue
-        digraph = build_domination_digraph(len(cycles), verdicts)
-        triangle = digraph.find_directed_triangle()
+        size = len(cycles)
+        arcs = build_domination_digraph(size, verdicts)
+        triangle = next(
+            ((i, j, k) for i, j in sorted(arcs) for k in range(size)
+             if (j, k) in arcs and (k, i) in arcs),
+            None,
+        )
         if triangle is not None:
             i, j, k = triangle
-            colors = (
-                digraph.arcs[(i, j)],
-                digraph.arcs[(j, k)],
-                digraph.arcs[(k, i)],
-            )
-            merged = merge_domination_triangle(
-                g, cycles[i], cycles[j], cycles[k], colors
-            )
+            colors = (arcs[i, j], arcs[j, k], arcs[k, i])
+            merged = merge_domination_triangle(g, cycles[i], cycles[j], cycles[k], colors)
             if trace is not None:
                 trace.append(f"merge triangle {i} {j} {k}")
             cycles = [c for t, c in enumerate(cycles) if t not in (i, j, k)] + [merged]
             continue
-        src, dom_color = digraph.source()
-        source_cycle = cycles[src]
-        sample = min(source_cycle.i_set)
-        outside = min(set(range(g.n)) - source_cycle.vertex_set())
-        return NotColorConnected(
-            NotColorConnectedCert(
-                cycle=source_cycle,
-                vertex=sample,
-                target=outside,
-                start_color=dom_color.other,
-                domination_color=dom_color,
-            )
-        )
+        # the source's out-arcs share one color: `build_domination_digraph` checks it
+        for src, source_cycle in enumerate(cycles):
+            outs = [c for (s, _t), c in arcs.items() if s == src]
+            if len(outs) == size - 1:
+                outside = min(set(range(g.n)) - source_cycle.vertex_set())
+                return _not_color_connected(source_cycle, outside, outs[0])
+        raise StructureViolation("no source of full out-degree", ())
     cycle = cycles[0]
     if not validate_cycle(g, cycle) or sorted(cycle.vertices) != list(range(g.n)):
         raise StructureViolation("merged cycle is not a Hamiltonian cycle of g", (cycle,))
@@ -505,9 +457,21 @@ def _trace_lines(outcome: MergeOutcome) -> list[str]:
     return [f"merge {outcome.rule}"] if isinstance(outcome, Merged) else []
 
 
+def _not_color_connected(
+    cycle: AltCycle, target: int, domination_color: Color | None
+) -> NotColorConnected:
+    """Certificate from the smallest vertex of `cycle`'s even class to
+    `target`: its start color is the other of `domination_color`, Blue
+    when there is none."""
+    start = BLUE if domination_color is None else domination_color.other
+    return NotColorConnected(
+        NotColorConnectedCert(cycle, min(cycle.i_set), target, start, domination_color)
+    )
+
+
 def _disconnected_certificate(
     g: ColoredMultigraph, cycles: list[AltCycle]
-) -> NotColorConnectedCert | None:
+) -> NotColorConnected | None:
     """A disconnected cycle-adjacency graph is never color-connected: no
     alternating path leaves a component at all. Each cycle is connected and
     the cycles span g, so that graph is connected exactly when g is; the
@@ -523,10 +487,4 @@ def _disconnected_certificate(
     missed = next((c for c in cycles if not seen >> c.vertices[0] & 1), None)
     if missed is None:
         return None
-    return NotColorConnectedCert(
-        cycle=cycles[0],
-        vertex=min(cycles[0].i_set),
-        target=min(missed.vertices),
-        start_color=BLUE,
-        domination_color=None,
-    )
+    return _not_color_connected(cycles[0], min(missed.vertices), None)

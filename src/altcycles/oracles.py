@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from .cycles import (
     AltCycle,
-    CycleFactor,
     cycle_from_vertex_sequence,
     decode_cycles,
 )
@@ -60,7 +59,7 @@ def oracle_hamiltonian(g: ColoredMultigraph) -> AltCycle | None:
 
 def oracle_factor(
     g: ColoredMultigraph, *, allow_two_cycles: bool = True
-) -> CycleFactor | None:
+) -> tuple[AltCycle, ...] | None:
     """Exhaustive alternating-cycle-factor search.
 
     Backtracks over the choice of one blue and one red partner per vertex;
@@ -98,7 +97,7 @@ def oracle_factor(
 
     if not fill(0):
         return None
-    return CycleFactor(tuple(decode_cycles(partner, n)))
+    return decode_cycles(partner, n)
 
 
 def oracle_alt_path(

@@ -253,8 +253,12 @@ def test_generate_counterexample(capsys):
         ["counterexample", "--k1", "1"],
         # gen_counterexample checks itself by an exponential search
         ["counterexample", "--k1", "9", "--k2", "8"],
+        *(["closure-2m", "--density", d] for d in ("-0.1", "1.5", "nan", "inf")),
     ],
-    ids=["complete-0", "complete-neg", "closure-neg", "closure-over-max", "k1-1", "k-34-vertices"],
+    ids=[
+        "complete-0", "complete-neg", "closure-neg", "closure-over-max", "k1-1", "k-34-vertices",
+        "density-neg", "density-over-1", "density-nan", "density-inf",
+    ],
 )
 def test_generate_rejects_out_of_range_sizes(capsys, argv):
     code, out, err = run(capsys, "generate", "--family", *argv)

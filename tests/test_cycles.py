@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import altcycles as ac
-from altcycles import BLUE, RED, AltCycle, CycleFactor
+from altcycles import BLUE, RED, AltCycle
 from altcycles.cycles import cycle_from_vertex_sequence
 from conftest import ring
 
@@ -80,11 +80,11 @@ def test_validate_factor():
     g = ac.empty(8)
     c1 = ring(g, 0, 2)
     c2 = ring(g, 4, 2)
-    assert ac.validate_factor(g, CycleFactor((c1, c2)))
+    assert ac.validate_factor(g, (c1, c2))
     # missing a vertex
-    assert not ac.validate_factor(g, CycleFactor((c1,)))
+    assert not ac.validate_factor(g, (c1,))
     # overlapping cycles
-    assert not ac.validate_factor(g, CycleFactor((c1, c1, c2)))
+    assert not ac.validate_factor(g, (c1, c1, c2))
 
 
 def test_cycle_from_vertex_sequence_infers_colors():

@@ -34,12 +34,12 @@ def test_maximum_matching_matches_brute_force():
             for v in range(u + 1, n)
             if rng.random() < 0.4
         ]
-        got = ac.maximum_matching(edges, nodes)
-        assert all(len(e) == 2 for e in got)
-        used = [x for e in got for x in e]
-        assert len(used) == len(set(used))
-        assert all(tuple(sorted(e)) in edges for e in got)
-        assert len(got) == brute_max_matching_size(edges, nodes)
+        partner = ac.maximum_matching(edges, n)
+        assert len(partner) == n
+        matched = [v for v in nodes if partner[v] is not None]
+        assert all(partner[partner[v]] == v for v in matched)
+        assert all(tuple(sorted((v, partner[v]))) in edges for v in matched)
+        assert len(matched) == 2 * brute_max_matching_size(edges, nodes)
 
 
 def test_factor_on_disjoint_rings():
@@ -83,6 +83,13 @@ def test_factor_agrees_with_oracle_randomly():
         if fast is not None:
             assert ac.validate_factor(g, fast)
             assert ac.validate_factor(g, slow)
+            # decode order, which `factor` prints as is: cycles by ascending
+            # smallest vertex, each starting there with a blue edge
+            for factor in (fast, slow):
+                starts = [c.vertices[0] for c in factor]
+                assert starts == sorted(starts)
+                assert all(c.vertices[0] == min(c.vertices) for c in factor)
+                assert all(c.colors[0] is BLUE for c in factor)
 
 
 def test_oracle_factor_min_cycle_length():

@@ -22,9 +22,7 @@ from altcycles import (
 from altcycles.cycles import AltCycle, cycle_from_vertex_sequence
 from altcycles.graph import OutOfRangeError
 from altcycles.merge import (
-    MergeError,
     NotColorConnectedCert,
-    NotOnCycleError,
     StructureViolation,
     appropriately_label,
     merge_domination_triangle,
@@ -94,10 +92,6 @@ def test_appropriately_label_explicit_color():
     g.add_edge(0, 4, BLUE).add_edge(0, 4, RED)
     a, b = appropriately_label(g, c1, c2, (0, 4))
     assert a.colors[0] is BLUE and b.colors[0] is BLUE  # Blue when both
-    with pytest.raises(MergeError):
-        appropriately_label(g, c1, c2, (1, 5))
-    with pytest.raises(NotOnCycleError):
-        appropriately_label(g, c1, c2, (5, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +336,14 @@ TRIANGLE_COLORS = [
 def test_domination_triangle(colors):
     g, cycles = triangle_graph(colors)
     assert ac.is_2m_closed(g)
-    digraph = digraph_of(g, cycles)
-    assert digraph.arcs == {
+    assert digraph_of(g, cycles) == {
         (0, 1): colors[0],
         (1, 2): colors[1],
         (2, 0): colors[2],
     }
-    assert digraph.find_directed_triangle() == (0, 1, 2)
+    trace: list[str] = []
+    ac.solve_from_factor(g, cycles, trace)
+    assert trace[-1] == "merge triangle 0 1 2"
     merged = merge_domination_triangle(g, cycles[0], cycles[1], cycles[2], colors)
     assert ac.validate_cycle(g, merged)
     assert merged.vertex_set() == set(range(14))
@@ -402,11 +397,9 @@ def test_digraph_requires_a_tournament():
 
 def test_digraph_source():
     g, cycles = not_color_connected_graph()
-    digraph = digraph_of(g, cycles)
-    assert digraph.arcs == {(0, 1): BLUE, (0, 2): BLUE, (1, 2): BLUE}
-    assert digraph.find_directed_triangle() is None
-    src, color = digraph.source()
-    assert (src, color) == (0, BLUE)
+    assert digraph_of(g, cycles) == {(0, 1): BLUE, (0, 2): BLUE, (1, 2): BLUE}
+    cert = ac.solve_from_factor(g, cycles).certificate
+    assert (cert.cycle, cert.domination_color) == (cycles[0], BLUE)
 
 
 def record_merge_calls(monkeypatch) -> list:
@@ -687,7 +680,7 @@ def test_merge_pair_no_pattern_in_either_order():
     g, (a, b) = G8b()
     assert ac.is_2m_closed(g)
     assert ac.is_color_connected(g)
-    assert ac.find_alternating_cycle_factor(g) == ac.CycleFactor((a, b))
+    assert ac.find_alternating_cycle_factor(g) == (a, b)
     assert ac.oracle_hamiltonian(g).vertices == (0, 1, 4, 5, 2, 3, 6, 7)
     for cycles, expected in (
         ([a, b], (5, 4, 1, 0, 7, 6, 3, 2)),

@@ -16,13 +16,14 @@ still compare; the solver traces carry the rule.
 entries whose digests differ or that only one side has, and exits 1 if
 there is any.
 
-The corpus, 31,744 entries:
+The corpus, 35,609 entries:
 - planted seeds 0-5999 through `solve_from_factor`, in both cycle orders,
   and through `solve_hamiltonian`;
 - `merge_pair` both ways on the planted cycle pairs of seeds 0-1499;
 - the benchmark's solve-corpus pools of seeds 1-3, through
-  `solve_hamiltonian`, and its color-connected pools of seeds 1-3, through
-  `color_connectivity_witness`;
+  `solve_hamiltonian` and `find_alternating_cycle_factor`, and those with
+  n <= 10 through `oracle_factor(g, allow_two_cycles=False)`; its
+  color-connected pools of seeds 1-3, through `color_connectivity_witness`;
 - `gen_counterexample(k1, k2)` for 2 <= k1 <= k2 <= 5, through
   `color_connectivity_witness`;
 - `gen_complete` for even n 4-80 and seeds 0-2, through
@@ -65,6 +66,12 @@ def entries(ac, fx):
     def witness(g, trace):
         return ac.predicates.color_connectivity_witness(g)
 
+    def factor(g, trace):
+        return _cycles(ac.find_alternating_cycle_factor(g))
+
+    def oracle_factor(g, trace):
+        return _cycles(ac.oracle_factor(g, allow_two_cycles=False))
+
     solve, from_factor = ac.solve_hamiltonian, ac.solve_from_factor
     for seed in range(6000):
         g, cycles = fx.planted_instance(seed)
@@ -79,6 +86,9 @@ def entries(ac, fx):
     for seed in (1, 2, 3):
         for k, g in enumerate(fx.solve_corpus_graphs(seed)):
             yield f"solve-corpus {seed} {k}", solve, (g,)
+            yield f"factor {seed} {k}", factor, (g,)
+            if g.n <= 10:
+                yield f"oracle-factor {seed} {k}", oracle_factor, (g,)
         for k, g in enumerate(fx.color_connected_graphs(seed)):
             yield f"color-connected {seed} {k}", witness, (g,)
     for k1 in range(2, 6):
@@ -97,6 +107,12 @@ def entries(ac, fx):
     for name in ("G8", "G8b", "G12"):
         g, cycles = getattr(fx, name)()
         yield f"fixture {name}", from_factor, (g, cycles)
+
+
+def _cycles(factor):
+    """A factor as a tuple of cycles; older checkouts return a `CycleFactor`,
+    which iterates over its cycles."""
+    return None if factor is None else tuple(factor)
 
 
 def digest(root: Path) -> list[tuple[str, str]]:
