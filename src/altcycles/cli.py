@@ -33,12 +33,6 @@ EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_SOFTWARE = 70
 
-# `gen_counterexample` checks itself by the exponential alternating-path
-# search: 32 vertices take 0.2-0.7 s, and each step of k1 + k2 multiplies
-# that by about 1.6.
-MAX_COUNTEREXAMPLE_VERTICES = 32
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 64, not argparse's 2
         self.print_usage(sys.stderr)
@@ -170,9 +164,8 @@ def _cmd_factor(args) -> int:
 def _cmd_generate(args) -> int:
     low = 1 if args.family == "complete-random" else 0
     if args.family == "counterexample":
-        most = MAX_COUNTEREXAMPLE_VERTICES
-        if min(args.k1, args.k2) < 2 or 2 * (args.k1 + args.k2) > most:
-            return _usage_error(f"need --k1, --k2 >= 2 and 2 * (k1 + k2) <= {most}")
+        if min(args.k1, args.k2) < 2 or 2 * (args.k1 + args.k2) > MAX_VERTICES:
+            return _usage_error(f"need --k1, --k2 >= 2 and 2 * (k1 + k2) <= {MAX_VERTICES}")
         g = generate.gen_counterexample(args.k1, args.k2)
     elif not low <= args.n <= MAX_VERTICES:
         return _usage_error(f"need {low} <= --n <= {MAX_VERTICES}")

@@ -5,9 +5,8 @@ from __future__ import annotations
 import random
 
 from .cycles import AltCycle, validate_cycle
-from .graph import BLUE, RED, Color, ColoredMultigraph, empty
-from .oracles import oracle_hamiltonian
-from .predicates import is_2nm_closed, is_color_connected, two_m_violations, two_nm_violations
+from .graph import BLUE, RED, Color, ColoredMultigraph, empty, reachable
+from .predicates import is_2nm_closed, two_m_violations
 
 
 class ConstructionFailed(Exception):
@@ -29,6 +28,8 @@ def gen_complete(n: int, seed: int) -> ColoredMultigraph:
 def gen_random(n: int, seed: int, density: float = 0.5) -> ColoredMultigraph:
     """Random 2-edge-colored multigraph: each (pair, color) edge present
     independently with the given probability."""
+    if not 0 <= density <= 1:  # NaN fails too
+        raise ValueError("density must be between 0 and 1")
     rng = random.Random(seed)
     g = empty(n)
     for u in range(n):
@@ -77,39 +78,49 @@ def gen_counterexample(k1: int, k2: int) -> ColoredMultigraph:
     """Color-connected 2-NM-closed graph with a cycle factor but no
     alternating Hamiltonian cycle.
 
-    Two alternating cycles of lengths 2*k1 and 2*k2, glued by four red edges
-    across one blue cycle edge of each; red chords complete each cycle to
-    2-NM-closure. All four claimed properties are verified before returning.
+    Each blue edge {2i, 2i+1} is a block, and a link joins two blocks by all
+    four red edges between them. Blocks 0..k1-1 and k1..k1+k2-1 form two
+    rings of links, which carry the factor's cycles, and one more link joins
+    block 0 to block k1. All four claimed properties are verified in
+    polynomial time before returning.
     """
     if k1 < 2 or k2 < 2:
         raise ValueError("cycle half-lengths must be at least 2")
     c1, c2 = counterexample_cycles(k1, k2)
     n = 2 * (k1 + k2)
     g = empty(n)
-    for cycle in (c1, c2):
-        m = len(cycle)
-        for i in range(m):
-            g.add_edge(cycle.vertices[i], cycle.vertices[(i + 1) % m], cycle.colors[i])
-    x1, x2 = 0, 1
-    y1, y2 = 2 * k1, 2 * k1 + 1
-    for u, v in ((x1, y1), (x2, y2), (x1, y2), (x2, y1)):
-        g.add_edge(u, v, RED)
-    # red chords until 2-NM-closed; the violations stay inside the cycles
-    while True:
-        violations = two_nm_violations(g)
-        if not violations:
-            break
-        v = violations[0]
-        g.add_edge(v.x1, v.x3, RED)
+    for a in range(n // 2):
+        g.add_edge(2 * a, 2 * a + 1, BLUE)
+    rings = [(off + i, off + (i + 1) % k) for off, k in ((0, k1), (k1, k2)) for i in range(k)]
+    for a, b in [*rings, (0, k1)]:
+        for u in (2 * a, 2 * a + 1):
+            for v in (2 * b, 2 * b + 1):
+                g.add_edge(u, v, RED)
 
+    blue, red = g.masks(BLUE), g.masks(RED)
+    full = (1 << n) - 1
+    evens = full // 3  # bits 0, 2, 4, ...
+    matched = all(blue[v] == 1 << (v ^ 1) for v in range(n))
     failures = []
     if not is_2nm_closed(g):
         failures.append("not 2-NM-closed")
-    if not is_color_connected(g):
+    # When the blue edges are the blocks and red neighborhoods are whole blocks
+    # shared by partners, a path crosses each block by its blue edge between
+    # red links: a path of blocks gives all four end-color pairs, and partners
+    # have BB by their blue edge and RR through a linked block: connected is enough.
+    if not (
+        matched
+        and all(red[v] == red[v ^ 1] and (red[v] & evens) * 3 == red[v] for v in range(n))
+        and reachable(g, 0) == full
+    ):
         failures.append("not color-connected")
     if not (validate_cycle(g, c1) and validate_cycle(g, c2)):
         failures.append("factor cycles broken")
-    if oracle_hamiltonian(g) is not None:
+    # When the blue edges are the blocks (at least three), an alternating
+    # Hamiltonian cycle uses every blue edge, so its red edges form a
+    # Hamiltonian cycle of the graph of blocks, which has no cut node. Block
+    # {0, 1} is one: the rest of the graph falls apart without it.
+    if not (matched and reachable(g, 2, avoid=0b11) | 0b11 != full):
         failures.append("alternating Hamiltonian cycle exists")
     if failures:
         raise ConstructionFailed("; ".join(failures))

@@ -154,6 +154,20 @@ def empty(n: int) -> ColoredMultigraph:
     return ColoredMultigraph(n)
 
 
+def reachable(g: ColoredMultigraph, start: int, avoid: int = 0) -> int:
+    """Mask of the vertices reachable from `start` over edges of both
+    colors without entering a vertex of the `avoid` mask."""
+    blue, red = g.masks(BLUE), g.masks(RED)
+    seen = frontier = 1 << start
+    while frontier:
+        reach = 0
+        for v in bits(frontier):
+            reach |= blue[v] | red[v]
+        frontier = reach & ~(seen | avoid)
+        seen |= frontier
+    return seen
+
+
 def induced_subgraph(
     g: ColoredMultigraph, vertices: list[int]
 ) -> tuple[ColoredMultigraph, list[int]]:

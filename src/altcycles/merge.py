@@ -23,7 +23,7 @@ from itertools import combinations
 
 from . import factor
 from .cycles import AltCycle, cycle_from_vertex_sequence, validate_cycle, validate_factor
-from .graph import BLUE, RED, Color, ColoredMultigraph, OutOfRangeError, bits
+from .graph import BLUE, RED, Color, ColoredMultigraph, OutOfRangeError, bits, reachable
 
 # Not called here: the benchmark's tracer hooks `altcycles.merge.oracle_merge`
 # to show that the solver never searches exhaustively (its count reads 0).
@@ -206,9 +206,7 @@ def merge_pair(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> MergeOutcome
     the arguments mirrors a domination's source, and may pick another
     merged cycle.
     """
-    # name the first vertex outside the graph that a scan of the cross pairs
-    # (u in c1, v in c2) meets: c1's first vertex, then c2's, then c1's rest
-    _check_on_graph(g, (*c1.vertices[:1], *c2.vertices, *c1.vertices[1:]))
+    _check_on_graph(g, (*c1.vertices, *c2.vertices))
     in_c2 = _mask(c2.vertices)
     if _mask(c1.vertices) & in_c2:
         raise ValueError("the cycles share a vertex")
@@ -476,14 +474,7 @@ def _disconnected_certificate(
     alternating path leaves a component at all. Each cycle is connected and
     the cycles span g, so that graph is connected exactly when g is; the
     target is taken from the first cycle the search from cycles[0] misses."""
-    blue, red = g.masks(BLUE), g.masks(RED)
-    seen = frontier = 1 << cycles[0].vertices[0]
-    while frontier:
-        reach = 0
-        for v in bits(frontier):
-            reach |= blue[v] | red[v]
-        frontier = reach & ~seen
-        seen |= frontier
+    seen = reachable(g, cycles[0].vertices[0])
     missed = next((c for c in cycles if not seen >> c.vertices[0] & 1), None)
     if missed is None:
         return None

@@ -47,7 +47,11 @@ def test_criterion_1_equivalence(corpus):
 
 
 def test_criterion_2_counterexample_family():
-    cases = [(k1, k2) for k1 in (2, 3, 4) for k2 in (2, 3, 4)]
+    # both orders up to k = 4, and every k1 <= k2 up to 32 vertices
+    cases = sorted(
+        {(k1, k2) for k1 in (2, 3, 4) for k2 in (2, 3, 4)}
+        | {(k1, k2) for k1 in range(2, 9) for k2 in range(k1, 17 - k1)}
+    )
     for k1, k2 in cases:
         g = ac.gen_counterexample(k1, k2)
         assert ac.is_2nm_closed(g), (k1, k2)

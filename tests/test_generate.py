@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import altcycles as ac
+import altcycles.generate
 from altcycles import BLUE, RED
 from altcycles.generate import ConstructionFailed, counterexample_cycles
+from altcycles.graph import MAX_VERTICES, reachable
 
 
 def test_gen_complete_shape_and_determinism():
@@ -24,6 +28,9 @@ def test_gen_random_density_and_determinism():
     assert ac.gen_random(8, 7, 0.0).edge_count() == 0
     full = ac.gen_random(8, 7, 1.0)
     assert full.edge_count() == 2 * 8 * 7 // 2  # both colors on every pair
+    for density in (-1, float("nan"), 1.5, float("inf")):
+        with pytest.raises(ValueError):
+            ac.gen_random(8, 7, density)
 
 
 def test_closure_2m_output_closed_and_fixpoint():
@@ -73,3 +80,84 @@ def test_counterexample_properties(k1, k2):
     assert ac.oracle_hamiltonian(g) is None
     # the family lives strictly outside the solvable class
     assert not ac.is_2m_closed(g)
+
+
+def counterexample_by_closure(k1, k2):
+    """The family as first built: the two alternating cycles, the four red
+    edges across blocks {0, 1} and {2*k1, 2*k1 + 1}, then red chords for the
+    first 2-NM violation until none is left."""
+    g = ac.empty(2 * (k1 + k2))
+    for cycle in counterexample_cycles(k1, k2):
+        m = len(cycle)
+        for i in range(m):
+            g.add_edge(cycle.vertices[i], cycle.vertices[(i + 1) % m], cycle.colors[i])
+    for u in (0, 1):
+        for v in (2 * k1, 2 * k1 + 1):
+            g.add_edge(u, v, RED)
+    while violations := ac.two_nm_violations(g):
+        g.add_edge(violations[0].x1, violations[0].x3, RED)
+    return g
+
+
+def test_counterexample_closed_form_matches_the_closure_loop():
+    for k1 in range(2, 17):
+        for k2 in range(2, 17):
+            assert ac.gen_counterexample(k1, k2) == counterexample_by_closure(k1, k2), (k1, k2)
+
+
+def block_graph(blocks, red_pairs):
+    """Blue edges {2i, 2i+1}; red edges on the given vertex pairs."""
+    g = ac.empty(2 * blocks)
+    for b in range(blocks):
+        g.add_edge(2 * b, 2 * b + 1, BLUE)
+    for u, v in red_pairs:
+        g.add_edge(u, v, RED)
+    return g
+
+
+def test_block_lemmas_against_exhaustive_search():
+    """The generator's two self-checks, on random graphs of blocks:
+    (A) with every link complete, connected is color-connected;
+    (B) with arbitrary red edges, a cut block leaves no alternating
+    Hamiltonian cycle."""
+    rng = random.Random(14)
+    verdicts = {True: 0, False: 0}
+    for _ in range(2000):
+        blocks = rng.randint(2, 6)
+        links = [(a, b) for a in range(blocks) for b in range(a + 1, blocks) if rng.random() < 0.4]
+        g = block_graph(
+            blocks, [(2 * a + i, 2 * b + j) for a, b in links for i in (0, 1) for j in (0, 1)]
+        )
+        connected = reachable(g, 0) == (1 << g.n) - 1
+        assert connected == ac.is_color_connected(g), ac.serialize_text(g)
+        verdicts[connected] += 1
+    cut_cases = 0
+    for _ in range(2000):
+        blocks = rng.randint(3, 6)
+        n = 2 * blocks
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
+        g = block_graph(blocks, pairs)
+        full = (1 << n) - 1
+        for b in range(blocks):
+            block = 0b11 << 2 * b
+            start = 2 * ((b + 1) % blocks)
+            if reachable(g, start, avoid=block) | block != full:
+                assert ac.oracle_hamiltonian(g) is None, ac.serialize_text(g)
+                cut_cases += 1
+    assert min(verdicts.values()) > 500 and cut_cases > 300
+
+
+def test_counterexample_self_check_rejects_a_red_edge_inside_a_block(monkeypatch):
+    def empty_with_red_block(n):
+        return ac.empty(n).add_edge(0, 1, RED)
+
+    monkeypatch.setattr(altcycles.generate, "empty", empty_with_red_block)
+    with pytest.raises(ConstructionFailed):
+        ac.gen_counterexample(3, 3)
+
+
+def test_counterexample_at_the_vertex_limit():
+    g = ac.gen_counterexample(2500, 2500)
+    assert g.n == MAX_VERTICES
+    # a blue edge per block, four red edges per link: 5000 ring links and one more
+    assert g.edge_count() == 5000 + 4 * 5001

@@ -166,9 +166,10 @@ def test_merge_pair_rejects_vertices_outside_the_graph():
         for pair in ((c1, outside), (outside, c1)):
             with pytest.raises(OutOfRangeError):
                 ac.merge_pair(g, *pair)
-    # both cycles leave the graph: c1's first vertex, then c2, then c1's rest
+    # both cycles leave the graph: c1's vertices are named first, as in
+    # `color_dominates`
     low_bad, high_bad = AltCycle((1, 5), (BLUE, RED)), AltCycle((0, 9), (BLUE, RED))
-    for pair, named in (((high_bad, low_bad), 5), ((low_bad, high_bad), 9)):
+    for pair, named in (((high_bad, low_bad), 9), ((low_bad, high_bad), 5)):
         with pytest.raises(OutOfRangeError, match=rf"^vertex {named} outside 0\.\.3$"):
             ac.merge_pair(g, *pair)
 

@@ -76,3 +76,16 @@ def test_benchmark_hooks_resolve():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_generator_runs_no_exhaustive_search():
+    """`gen_counterexample` checks its graph by the block lemmas, so
+    `generate.py` imports neither the oracles nor the alternating-path search."""
+    banned = {"oracles", "is_color_connected", "exists_alternating_path"}
+    found = []
+    for name, node in library_nodes():
+        if name == "generate.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            imported = {part for n in names for part in n.split(".")}
+            found += [f"{node.lineno}:{b}" for b in sorted(banned & imported)]
+    assert found == []
