@@ -16,7 +16,6 @@ from .graph import (
 from .merge import (
     Dominates,
     HamiltonianCycle,
-    Inapplicable,
     Merged,
     NoFactor,
     NotAdjacent,
@@ -47,7 +46,6 @@ __all__ = [
     "ColoredMultigraph",
     "Dominates",
     "HamiltonianCycle",
-    "Inapplicable",
     "Merged",
     "NoFactor",
     "NotAdjacent",

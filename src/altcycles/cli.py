@@ -154,10 +154,10 @@ def _print_factor(factor: tuple[AltCycle, ...] | None) -> int:
 
 def _cmd_factor(args) -> int:
     g = _read_graph(args.file)
-    if args.min_cycle_len == 4:
+    factor = find_alternating_cycle_factor(g)
+    # no factor means no 2-cycle-free one; search only past a 2-cycle
+    if args.min_cycle_len == 4 and factor and any(len(c) == 2 for c in factor):
         factor = oracles.oracle_factor(g, allow_two_cycles=False)
-    else:
-        factor = find_alternating_cycle_factor(g)
     return _print_factor(factor)
 
 

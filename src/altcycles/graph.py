@@ -210,7 +210,7 @@ def parse_text(text: str) -> ColoredMultigraph:
             if len(parts) != 4:
                 raise ParseError("expected 'e <u> <v> <B|R>'", line_no)
             try:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = _decimal(parts[1]), _decimal(parts[2])
             except ValueError:
                 raise ParseError("bad vertex index", line_no)
             color = _BY_LETTER.get(parts[3])
@@ -226,7 +226,7 @@ def parse_text(text: str) -> ColoredMultigraph:
             if len(parts) != 2:
                 raise ParseError("expected 'n <count>'", line_no)
             try:
-                count = int(parts[1])
+                count = _decimal(parts[1])
             except ValueError:
                 raise ParseError(f"bad vertex count {parts[1]!r}", line_no)
             if count < 0:
@@ -239,6 +239,13 @@ def parse_text(text: str) -> ColoredMultigraph:
     if g is None:
         raise ParseError("missing 'n' record", max(1, len(lines)))
     return g
+
+
+def _decimal(field: str) -> int:
+    """`int`, refusing the other scripts' digits and `_` that it accepts."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(f"not an ASCII decimal: {field!r}")
+    return int(field)
 
 
 def serialize_text(g: ColoredMultigraph) -> str:

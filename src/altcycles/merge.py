@@ -5,14 +5,14 @@ characterization, in order: a good pair of edges, a color-domination
 verdict either way, then at each cross edge in turn the explicit mixed-color
 star cycle and an explicit chord-based cycle. Each verdict is verified, so
 no route to it is guessed: a merged cycle is validated against the graph by
-`cycle_from_vertex_sequence`, and a domination by `color_dominates`. A
-pair that yields neither exposes a 2-M closure violation (`Inapplicable`);
-on a 2-M-closed graph it raises `StructureViolation`. Verdicts are plain
+`cycle_from_vertex_sequence`, and a domination by `color_dominates`. The
+input is 2-M-closed, which `solve_hamiltonian` checks once per solve; a
+pair that yields no verdict raises `StructureViolation`. Verdicts are plain
 values, and a `Merged` one names its rule, so the solver renders its trace
 from the verdicts.
-The solver certifies a disconnected cycle adjacency first, so its
-domination digraph, read off the verdicts of its last sweep over the cycle
-pairs, spans one connected component; nothing recomputes the verdicts.
+The domination digraph holds the arcs of the verdicts of the solver's last
+sweep over the cycle pairs; nothing recomputes the verdicts. Each structural
+guarantee is checked by the construction that relies on it.
 Every path is polynomial: nothing here searches exhaustively.
 """
 from __future__ import annotations
@@ -36,7 +36,7 @@ class MergeError(Exception):
 
 
 class StructureViolation(MergeError):
-    """The domination digraph breaks a structural guarantee; signals a
+    """A structural guarantee of the merge layer fails; signals a
     non-closed input or a missed merge. Carries the offending nodes."""
 
     def __init__(self, message: str, offenders: tuple = ()):
@@ -61,12 +61,7 @@ class NotAdjacent:
     pass
 
 
-@dataclass(frozen=True)
-class Inapplicable:
-    witness: TwoPath
-
-
-MergeOutcome = Merged | Dominates | NotAdjacent | Inapplicable
+MergeOutcome = Merged | Dominates | NotAdjacent
 
 
 @dataclass(frozen=True)
@@ -195,8 +190,9 @@ def _check_on_graph(g: ColoredMultigraph, vertices: Iterable[int]) -> None:
 
 def merge_pair(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> MergeOutcome:
     """Merge two disjoint alternating cycles or report why not; a `Merged`
-    verdict names the rule that merged. Raises ValueError if the cycles
-    share a vertex.
+    verdict names the rule that merged. Precondition: g is 2-M-closed (not
+    checked here; `solve_hamiltonian` checks it). Raises ValueError if the
+    cycles share a vertex, and StructureViolation if no pattern applies.
 
     Rotating or reversing either cycle keeps the kind of outcome, though a
     good-pair merge's cycle and a domination's color may change. The other
@@ -235,7 +231,7 @@ def merge_pair(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> MergeOutcome
                 merged = construct(g, a, b, a.colors[0])
                 if merged is not None:
                     return Merged(merged, rule)
-    return _off_pattern(g, c1, c2)
+    raise StructureViolation("no merge pattern", (c1, c2))
 
 
 def _merge_mixed_star(
@@ -288,32 +284,17 @@ def _merge_chord(
     return None
 
 
-def _off_pattern(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> Inapplicable:
-    """Outcome for a pair that instantiates no merge pattern: Inapplicable
-    with g's first 2-M closure violation. On a 2-M-closed graph the case
-    analysis leaves no such pair, so there it raises StructureViolation."""
-    violations = two_m_violations(g)
-    if not violations:
-        raise StructureViolation("no merge pattern on a 2-M-closed graph", (c1, c2))
-    return Inapplicable(violations[0])
-
-
 # ---------------------------------------------------------------------------
 # domination digraph and triangle merges
 
 
 def build_domination_digraph(
-    size: int, verdicts: dict[tuple[int, int], MergeOutcome]
+    verdicts: dict[tuple[int, int], MergeOutcome]
 ) -> dict[tuple[int, int], Color]:
-    """Arcs (source, target) -> color of the digraph on `size` factor cycles
-    with an arc per `Dominates` among `merge_pair`'s verdicts on the pairs
-    (i, j), i < j.
-
-    Precondition: the cycles' adjacency is connected (`solve_from_factor`
-    certifies it first), so the digraph must be a tournament. Verifies the
-    structural guarantees available before triangle elimination: every
-    verdict is `Dominates`, and out-stars are monochromatic. Acyclicity is established by the driver, which merges any directed
-    triangle first. Arcs need no recheck: if c1 dominates c2, each vertex of
+    """Arcs (source, target) -> color, one per `Dominates` among
+    `merge_pair`'s verdicts on the cycle pairs (i, j), i < j. Raises
+    StructureViolation on any verdict that is neither `Dominates` nor
+    `NotAdjacent`. Arcs need no recheck: if c1 dominates c2, each vertex of
     c2 sees both colors from c1, so c2 cannot dominate c1.
     """
     arcs: dict[tuple[int, int], Color] = {}
@@ -322,13 +303,6 @@ def build_domination_digraph(
             arcs[(i, j) if verdict.source == 1 else (j, i)] = verdict.color
         elif not isinstance(verdict, NotAdjacent):
             raise StructureViolation("adjacent cycles with no domination", (i, j))
-    for i in range(size):
-        colors = {c for (s, _t), c in arcs.items() if s == i}
-        if len(colors) > 1:
-            raise StructureViolation("out-arcs of one cycle differ in color", (i,))
-    for pair, verdict in verdicts.items():
-        if isinstance(verdict, NotAdjacent):
-            raise StructureViolation("component pair without arc", pair)
     return arcs
 
 
@@ -396,10 +370,11 @@ def solve_from_factor(
     merge joins adjacent cycles, so it cannot disconnect later. Each round
     sweeps the pairs in order and merges the first pair that merges; when
     none does, the sweep's verdicts build the domination digraph, and either
-    a domination triangle merges three cycles or the acyclic tournament's
-    source certifies non-color-connectivity. Raises ValueError unless
-    `cycles` is a nonempty alternating cycle factor of g, and
-    StructureViolation when a final cycle does not validate or span g.
+    a domination triangle merges three cycles or a source, a cycle that
+    dominates every other, certifies non-color-connectivity. Raises
+    ValueError unless `cycles` is a nonempty alternating cycle factor of g,
+    and StructureViolation when a source dominates in both colors, when no
+    triangle or source exists, or when a final cycle is not Hamiltonian.
     """
     cycles = list(cycles)
     if not cycles or not validate_factor(g, cycles):
@@ -420,7 +395,7 @@ def solve_from_factor(
             cycles = [c for k, c in enumerate(cycles) if k not in (i, j)] + [outcome.cycle]
             continue
         size = len(cycles)
-        arcs = build_domination_digraph(size, verdicts)
+        arcs = build_domination_digraph(verdicts)
         triangle = next(
             ((i, j, k) for i, j in sorted(arcs) for k in range(size)
              if (j, k) in arcs and (k, i) in arcs),
@@ -434,10 +409,14 @@ def solve_from_factor(
                 trace.append(f"merge triangle {i} {j} {k}")
             cycles = [c for t, c in enumerate(cycles) if t not in (i, j, k)] + [merged]
             continue
-        # the source's out-arcs share one color: `build_domination_digraph` checks it
+        # The certificate's walk argument needs every other cycle dominated in
+        # one color. A triangle needs no such check: two consecutive arcs of a
+        # directed 3-cycle share a color, and its merged cycle is validated.
         for src, source_cycle in enumerate(cycles):
             outs = [c for (s, _t), c in arcs.items() if s == src]
             if len(outs) == size - 1:
+                if len(set(outs)) > 1:
+                    raise StructureViolation("out-arcs of one cycle differ in color", (src,))
                 outside = min(set(range(g.n)) - source_cycle.vertex_set())
                 return _not_color_connected(source_cycle, outside, outs[0])
         raise StructureViolation("no source of full out-degree", ())

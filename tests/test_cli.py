@@ -212,9 +212,7 @@ def test_factor_min_cycle_len_takes_only_2_or_4(capsys, write_graph):
         assert "invalid choice" in err
 
 
-@pytest.mark.parametrize(
-    "argv", [["oracle", "hamiltonian"], ["oracle", "factor"], ["factor", "--min-cycle-len", "4"]]
-)
+@pytest.mark.parametrize("argv", [["oracle", "hamiltonian"], ["oracle", "factor"]])
 def test_deep_exhaustive_search_exits_70(capsys, write_graph, argv):
     # the oracles recurse once per path vertex, and round a 1200-vertex
     # alternating ring that is deeper than Python's recursion limit
@@ -222,6 +220,27 @@ def test_deep_exhaustive_search_exits_70(capsys, write_graph, argv):
     assert code == 70
     assert out == ""
     assert err == "error: exhaustive search exceeded the recursion limit\n"
+
+
+def test_factor_min_cycle_len_takes_a_factor_without_two_cycles(capsys, write_graph):
+    # the plain factor of the 1200-vertex ring is the ring itself, so the
+    # exhaustive search, too deep there, never runs
+    code, out, _ = run(capsys, "factor", "--min-cycle-len", "4", write_graph(ring_graph(600)))
+    assert code == 0
+    (line,) = out.splitlines()
+    verts = line.split(" : ")[0].split()
+    assert verts[0] == "cycle" and sorted(map(int, verts[1:])) == list(range(1200))
+
+
+def test_factor_min_cycle_len_without_a_factor_skips_the_search(capsys, write_graph, monkeypatch):
+    def exhaustive(*args, **kwargs):
+        raise AssertionError("oracle_factor ran")
+
+    monkeypatch.setattr("altcycles.oracles.oracle_factor", exhaustive)
+    g = ac.empty(4)
+    g.add_edge(0, 1, BLUE).add_edge(1, 2, RED).add_edge(2, 3, BLUE)
+    code, out, _ = run(capsys, "factor", "--min-cycle-len", "4", write_graph(g))
+    assert code == 1 and out == "none\n"
 
 
 def test_generate_roundtrip(capsys):

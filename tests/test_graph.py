@@ -113,6 +113,10 @@ def test_parse_text():
         "n 2\ne 0 B\n",
         f"n {MAX_VERTICES + 1}\n",  # rejected before any allocation
         "n 100001\n",  # the former limit + 1: far above the limit
+        "n \uff13\n",  # int() alone takes other scripts' digits and `_`
+        "n 1_0\n",
+        "n 12\ne 0 1_0 B\n",
+        "n 3\ne 0 \u0662 B\n",
     ],
 )
 def test_parse_errors(text):

@@ -294,19 +294,17 @@ def test_merge_pair_chord_inside_odd_class():
     assert out.cycle.vertex_set() == set(range(10))
 
 
-def test_merge_pair_closure_violation_witness():
-    # maximally sparse join: single cross edge, nothing else
+def test_merge_pair_raises_without_a_pattern():
+    # maximally sparse join: single cross edge, nothing else; the graph is
+    # not 2-M-closed, so no construction applies
     g = ac.empty(8)
     c1 = ring(g, 0, 2)
     c2 = ring(g, 4, 2)
     g.add_edge(0, 4, RED)
-    out = ac.merge_pair(g, c1, c2)
-    from altcycles.merge import Inapplicable
-
-    assert isinstance(out, Inapplicable)
-    assert out.witness is not None
-    assert out.witness.holds_in(g)
-    assert out.witness.endpoint_edge_missing(g)
+    with pytest.raises(StructureViolation, match="^no merge pattern$") as info:
+        ac.merge_pair(g, c1, c2)
+    assert info.value.offenders == (c1, c2)
+    assert ac.two_m_violations(g)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +318,7 @@ def digraph_of(g, cycles):
         (i, j): ac.merge_pair(g, cycles[i], cycles[j])
         for i, j in combinations(range(len(cycles)), 2)
     }
-    return ac.build_domination_digraph(len(cycles), verdicts)
+    return ac.build_domination_digraph(verdicts)
 
 
 TRIANGLE_COLORS = [
@@ -373,27 +371,11 @@ def test_digraph_rejects_merged_pair_of_two_way_planting():
         digraph_of(g, [c1, c2])
 
 
-def test_digraph_requires_domination_between_adjacent_cycles():
-    g = ac.empty(8)
-    c1 = ring(g, 0, 2)
-    c2 = ring(g, 4, 2)
-    g.add_edge(0, 4, RED)  # adjacent but no domination either way
-    with pytest.raises(StructureViolation, match="^adjacent cycles with no domination$"):
-        digraph_of(g, [c1, c2])
-
-
-def test_digraph_requires_a_tournament():
-    """A pair with no arc raises, first in verdict order; the verdicts must
-    span one connected adjacency component, so a lone `NotAdjacent` raises
-    too."""
+def test_digraph_is_plain_arcs():
+    """Pairs without an arc add nothing: the digraph need not be a tournament."""
     dom = Dominates(1, BLUE)
-    for verdicts, offenders in (
-        ({(0, 1): dom, (0, 2): dom, (1, 2): NotAdjacent()}, (1, 2)),
-        ({(0, 1): NotAdjacent()}, (0, 1)),
-    ):
-        with pytest.raises(StructureViolation, match="^component pair without arc$") as info:
-            ac.build_domination_digraph(3, verdicts)
-        assert info.value.offenders == offenders
+    verdicts = {(0, 1): dom, (0, 2): dom, (1, 2): NotAdjacent()}
+    assert ac.build_domination_digraph(verdicts) == {(0, 1): BLUE, (0, 2): BLUE}
 
 
 def test_digraph_source():
@@ -634,6 +616,36 @@ def test_two_cycle_factor_gap():
     assert ac.color_dominates(g, c45, c23) is RED
     with pytest.raises(StructureViolation, match="^out-arcs of one cycle differ in color$"):
         ac.solve_hamiltonian(g)
+
+
+# planted factors in which a cycle that is no source dominates others in
+# both colors: a domination triangle still merges, or the source, whose
+# out-arcs share one color, still certifies
+@pytest.mark.parametrize("seed", (2219, 2860, 2943, 3685, 3943, 4059, 5488))
+def test_mixed_out_star_off_the_source_still_merges(seed):
+    g, cycles = planted_instance(seed)
+    for order in (cycles, cycles[::-1]):
+        result = ac.solve_from_factor(g, order)
+        assert isinstance(result, HamiltonianCycle)
+        _assert_matches_oracle(g, result)
+
+
+def test_mixed_out_star_off_the_source_still_certifies():
+    g, cycles = planted_instance(4508)
+    for result in (
+        ac.solve_from_factor(g, cycles),
+        ac.solve_from_factor(g, cycles[::-1]),
+        ac.solve_hamiltonian(g),
+    ):
+        assert isinstance(result, NotColorConnected)
+        _assert_matches_oracle(g, result)
+
+
+def test_mixed_source_raises_at_the_source():
+    g, cycles = planted_instance(1292)
+    with pytest.raises(StructureViolation, match="^out-arcs of one cycle differ in color$") as info:
+        ac.solve_from_factor(g, cycles)
+    assert info.value.offenders == (1,)
 
 
 def test_merge_argument_order_gap():

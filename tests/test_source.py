@@ -89,3 +89,17 @@ def test_generator_runs_no_exhaustive_search():
             imported = {part for n in names for part in n.split(".")}
             found += [f"{node.lineno}:{b}" for b in sorted(banned & imported)]
     assert found == []
+
+
+def test_merge_layer_checks_closure_once_per_solve():
+    """The merge layer's input is 2-M-closed: `solve_hamiltonian` checks it
+    once, and no construction rescans the graph."""
+    (tree,) = [tree for name, _lines, tree in library_sources() if name == "merge.py"]
+    callers = [
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "two_m_violations"
+    ]
+    assert callers == ["solve_hamiltonian"]

@@ -6,15 +6,17 @@ show it keeps them.
 
 `digest` imports `altcycles` from ROOT/src and runs it on the corpus below,
 built by the generators in this repository's `tests/` (`bench/` is read
-only through `conftest.bench_module`). It writes one line per entry, the
-entry's id and a sha256 over the call's input, its normalized result, its
-trace and any `MergeError`'s type, message and offenders. `Merged.rule` is
-left out of the result, so checkouts from before verdicts named their rule
-still compare; the solver traces carry the rule.
+only through `conftest.bench_module`). It writes one tab-separated line per
+entry: the entry's id, a short outcome label (the result's type name, or
+the error's type and message) and a sha256 over the call's input, its
+normalized result, its trace and any `MergeError`'s type, message and
+offenders. `Merged.rule` is left out of the result, so checkouts from
+before verdicts named their rule still compare; the solver traces carry
+the rule.
 
 `compare` digests both checkouts, in two processes at once, lists the
-entries whose digests differ or that only one side has, and exits 1 if
-there is any.
+entries whose digests differ or that only one side has, with both sides'
+labels, and exits 1 if there is any.
 
 The corpus, 35,609 entries:
 - planted seeds 0-5999 through `solve_from_factor`, in both cycle orders,
@@ -115,21 +117,24 @@ def _cycles(factor):
     return None if factor is None else tuple(factor)
 
 
-def digest(root: Path) -> list[tuple[str, str]]:
+def digest(root: Path) -> list[tuple[str, str, str]]:
+    """(id, outcome label, sha256) per corpus entry."""
     ac, fx = _load(root)
     out = []
     for key, fn, args in entries(ac, fx):
         trace: list[str] = []
         try:
             result, error = fn(*args, trace), None
+            label = type(result).__name__
             if isinstance(result, ac.Merged):  # leave out `rule`
                 result = ("Merged", result.cycle)
         except ac.merge.MergeError as exc:
             result = None
             error = (type(exc).__name__, str(exc), repr(getattr(exc, "offenders", None)))
+            label = f"{error[0]}: {error[1]}"
         given = (ac.serialize_text(args[0]), repr(args[1:]))
         payload = repr((given, result, trace, error)).encode()
-        out.append((key, hashlib.sha256(payload).hexdigest()))
+        out.append((key, label, hashlib.sha256(payload).hexdigest()))
     return out
 
 
@@ -147,13 +152,15 @@ def compare(a: Path, b: Path) -> int:
         text, _ = proc.communicate()
         if proc.returncode:
             raise SystemExit(f"digest of {root} failed with exit code {proc.returncode}")
-        sides.append(dict(line.rsplit(" ", 1) for line in text.splitlines()))
+        rows = (line.split("\t") for line in text.splitlines())
+        sides.append({key: (h, label) for key, label, h in rows})
     da, db = sides
     keys = list(da) + [k for k in db if k not in da]
-    differ = [k for k in keys if da.get(k) != db.get(k)]
+    differ = [k for k in keys if k not in da or k not in db or da[k][0] != db[k][0]]
     for k in differ:
         note = "only in A" if k not in db else "only in B" if k not in da else "differs"
-        print(f"{note}: {k}")
+        labels = " -> ".join(side[k][1] for side in sides if k in side)
+        print(f"{note}: {k} ({labels})")
     print(f"{len(differ)} of {len(keys)} entries differ")
     return 1 if differ else 0
 
@@ -170,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "compare":
         return compare(args.a, args.b)
     start = time.perf_counter()
-    lines = [f"{key} {h}\n" for key, h in digest(args.root)]
+    lines = [f"{key}\t{label}\t{h}\n" for key, label, h in digest(args.root)]
     sys.stdout.writelines(lines)
     print(f"{len(lines)} entries in {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
