@@ -2,7 +2,7 @@
 factors, and constructive alternating Hamiltonian cycles."""
 
 from .cycles import AltCycle, validate_cycle, validate_factor
-from .factor import find_alternating_cycle_factor, maximum_matching
+from .factor import find_alternating_cycle_factor, find_factor_without_two_cycles, maximum_matching
 from .generate import closure_2m, gen_complete, gen_counterexample, gen_random
 from .graph import (
     BLUE,
@@ -58,6 +58,7 @@ __all__ = [
     "empty",
     "exists_alternating_path",
     "find_alternating_cycle_factor",
+    "find_factor_without_two_cycles",
     "gen_complete",
     "gen_counterexample",
     "gen_random",

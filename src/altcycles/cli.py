@@ -7,7 +7,7 @@ import sys
 
 from . import generate, oracles
 from .cycles import AltCycle
-from .factor import find_alternating_cycle_factor
+from .factor import find_alternating_cycle_factor, find_factor_without_two_cycles
 from .graph import BLUE, MAX_VERTICES, ColoredMultigraph, ParseError, parse_text, serialize_text
 from .merge import (
     HamiltonianCycle,
@@ -155,9 +155,12 @@ def _print_factor(factor: tuple[AltCycle, ...] | None) -> int:
 def _cmd_factor(args) -> int:
     g = _read_graph(args.file)
     factor = find_alternating_cycle_factor(g)
-    # no factor means no 2-cycle-free one; search only past a 2-cycle
+    # no factor means no 2-cycle-free one; past a 2-cycle, the exhaustive
+    # search runs only when the fallback fails, which proves nothing
     if args.min_cycle_len == 4 and factor and any(len(c) == 2 for c in factor):
-        factor = oracles.oracle_factor(g, allow_two_cycles=False)
+        factor = find_factor_without_two_cycles(g) or oracles.oracle_factor(
+            g, allow_two_cycles=False
+        )
     return _print_factor(factor)
 
 

@@ -232,6 +232,25 @@ def test_factor_min_cycle_len_takes_a_factor_without_two_cycles(capsys, write_gr
     assert verts[0] == "cycle" and sorted(map(int, verts[1:])) == list(range(1200))
 
 
+def test_factor_min_cycle_len_falls_back_to_one_matching_after_the_other(
+    capsys, write_graph, monkeypatch
+):
+    # every edge of the 1200-vertex ring carries both colors: the plain
+    # factor is 600 2-cycles, and the exhaustive search would be too deep
+    def exhaustive(*args, **kwargs):
+        raise AssertionError("oracle_factor ran")
+
+    monkeypatch.setattr("altcycles.oracles.oracle_factor", exhaustive)
+    g = ac.empty(1200)
+    for v in range(1200):
+        g.add_edge(v, (v + 1) % 1200, BLUE).add_edge(v, (v + 1) % 1200, RED)
+    code, out, _ = run(capsys, "factor", "--min-cycle-len", "4", write_graph(g))
+    assert code == 0
+    (line,) = out.splitlines()
+    verts = line.split(" : ")[0].split()
+    assert verts[0] == "cycle" and sorted(map(int, verts[1:])) == list(range(1200))
+
+
 def test_factor_min_cycle_len_without_a_factor_skips_the_search(capsys, write_graph, monkeypatch):
     def exhaustive(*args, **kwargs):
         raise AssertionError("oracle_factor ran")

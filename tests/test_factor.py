@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from itertools import combinations
+
+import pytest
 
 import altcycles as ac
 from altcycles import BLUE, RED
+from altcycles.graph import OutOfRangeError
 from conftest import ring
 
 
@@ -40,6 +45,30 @@ def test_maximum_matching_matches_brute_force():
         assert all(partner[partner[v]] == v for v in matched)
         assert all(tuple(sorted((v, partner[v]))) in edges for v in matched)
         assert len(matched) == 2 * brute_max_matching_size(edges, nodes)
+
+
+@pytest.mark.parametrize("edges, stray", [([(0, -1)], -1), ([(0, 5)], 5)])
+def test_maximum_matching_rejects_endpoints_outside_the_vertices(edges, stray):
+    with pytest.raises(OutOfRangeError, match=f"vertex {stray} outside 0..2"):
+        ac.maximum_matching(edges, 3)
+
+
+def test_factor_leaves_little_cyclic_garbage():
+    # networkx's cached views make its graph a reference cycle; whatever of
+    # it outlives the call waits for a full collection
+    g = ac.gen_complete(100, 0)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        ac.find_alternating_cycle_factor(g)
+        before = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        garbage = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert garbage < 350_000
 
 
 def test_factor_on_disjoint_rings():
@@ -101,3 +130,27 @@ def test_oracle_factor_min_cycle_length():
     ring(h, 0, 2)
     f = ac.oracle_factor(h, allow_two_cycles=False)
     assert f is not None and ac.validate_factor(h, f)
+
+
+def test_factor_without_two_cycles_only_where_one_exists():
+    found = refuted = 0
+    for seed in range(400):
+        g = ac.gen_random(4 + 2 * (seed % 4), seed, 0.6)
+        plain = ac.find_alternating_cycle_factor(g)
+        if not plain or all(len(c) > 2 for c in plain):
+            continue
+        f = ac.find_factor_without_two_cycles(g)
+        exhaustive = ac.oracle_factor(g, allow_two_cycles=False)
+        if f is not None:
+            assert ac.validate_factor(g, f)
+            assert all(len(c) > 2 for c in f)
+            assert exhaustive is not None
+            found += 1
+        refuted += exhaustive is None
+    assert found and refuted  # both outcomes occur among these seeds
+
+
+def test_factor_without_two_cycles_none_without_a_factor():
+    g = ac.empty(4)
+    g.add_edge(0, 1, BLUE).add_edge(1, 2, RED).add_edge(2, 3, BLUE)
+    assert ac.find_factor_without_two_cycles(g) is None
