@@ -180,17 +180,39 @@ class ColorConnectivityWitness:
 
 
 def color_connectivity_witness(g: ColoredMultigraph) -> ColorConnectivityWitness | None:
-    # a path reversed swaps (first, last), so unordered pairs suffice. A pair
-    # passes on (BB and RR) or (BR and RB): each search runs only when the
-    # verdict still needs it, and only the failing pair gets all four
+    """The first pair x < y, in row order, that has neither BB and RR nor BR
+    and RB alternating x-y paths (keyed (first, last) by their end colors),
+    or None if every pair has one of the two.
+
+    A path reversed swaps (first, last), so unordered pairs suffice. Each
+    pair runs BB, then RR only if BB found a path, then BR and RB only if
+    that first test fails; only the failing pair fills all four entries,
+    keys in BB, BR, RB, RR order.
+
+    Every subpath of an alternating path is alternating, so every subpath
+    of every path a search returns is recorded in one table for the call,
+    and a query the table answers is True without a search. False comes
+    only from a search, through the module global `exists_alternating_path`.
+    The table keeps each pair once, under its smaller endpoint a, in 4n
+    ints, row a of at most n - a - 1 bits: at most 2n*n bits, n*n/4 bytes,
+    as the graph's masks take.
+    """
+    # known[f][l][a], indices `color is RED`, has bit b - a - 1 set when an
+    # alternating a-b path, a < b, with first color f and last color l is known
+    known = [[[0] * g.n for _ in range(2)] for _ in range(2)]
     for x in range(g.n):
         for y in range(x + 1, g.n):
             ex: dict[tuple[Color, Color], bool] = {}
 
             def found(first: Color, last: Color) -> bool:
                 if (first, last) not in ex:
-                    path = exists_alternating_path(g, x, y, first, last)
-                    ex[(first, last)] = path is not None
+                    ok = bool(known[first is RED][last is RED][x] >> (y - x - 1) & 1)
+                    if not ok:
+                        path = exists_alternating_path(g, x, y, first, last)
+                        if path is not None:
+                            _record_subpaths(known, path)
+                            ok = True
+                    ex[(first, last)] = ok
                 return ex[(first, last)]
 
             if (found(BLUE, BLUE) and found(RED, RED)) or (
@@ -200,6 +222,25 @@ def color_connectivity_witness(g: ColoredMultigraph) -> ColorConnectivityWitness
             table = {(f, l): found(f, l) for f in Color for l in Color}
             return ColorConnectivityWitness(x, y, table)
     return None
+
+
+def _record_subpaths(known: list[list[list[int]]], path: AltPath) -> None:
+    """Set the bit of every subpath of `path` in color_connectivity_witness's
+    table, in O(len(path)) mask operations."""
+    vs = path.vertices
+    k0 = int(path.colors[0] is RED)  # edge k, [vs[k], vs[k+1]], has index k0 ^ k % 2
+    ends = [0, 0]  # the vertices at even and at odd positions
+    for i, v in enumerate(vs):
+        ends[i % 2] |= 1 << v
+    before = [0, 0]  # the same, before position i
+    for i, v in enumerate(vs):
+        p = i % 2
+        for q in (0, 1):
+            # to vs[j], j > i, j % 2 == q: first edge i, last edge j - 1
+            known[k0 ^ p][k0 ^ 1 ^ q][v] |= (ends[q] ^ before[q]) >> (v + 1)
+            # back to vs[j], j < i: first edge i - 1, last edge j
+            known[k0 ^ 1 ^ p][k0 ^ q][v] |= before[q] >> (v + 1)
+        before[p] |= 1 << v
 
 
 def is_color_connected(g: ColoredMultigraph) -> bool:

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
 import altcycles as ac
 from altcycles import BLUE, RED, Color, predicates
-from altcycles.graph import OutOfRangeError
+from altcycles.graph import OutOfRangeError, bits
 from altcycles.predicates import (
     AltPath,
     ColorConnectivityWitness,
@@ -151,20 +152,79 @@ def test_witness_runs_only_the_searches_its_verdict_needs(monkeypatch):
     for u in range(6):
         for v in range(u + 1, 6):
             g.add_edge(u, v, BLUE).add_edge(u, v, RED)
-    # every pair's BB and RR paths are its own two edges: RR settles it
+    # BB and RR settle each pair. Vertex 0's paths run through every other
+    # vertex, so their subpaths answer every later pair without a search
     assert color_connectivity_witness(g) is None
-    assert calls == [(x, y, c, c) for x in range(6) for y in range(x + 1, 6) for c in Color]
+    assert calls == [(0, y, c, c) for y in range(1, 6) for c in Color]
 
-    calls.clear()
-    g, _cycles = not_color_connected_graph()
-    w = color_connectivity_witness(g)
-    assert list(w.existence) == [(BLUE, BLUE), (BLUE, RED), (RED, BLUE), (RED, RED)]
-    # the witness pair searched each (first, last) once, each pair before
-    # it at most four times
-    at_witness = [c[2:] for c in calls if c[:2] == (w.x, w.y)]
-    assert len(at_witness) == 4 and set(at_witness) == set(w.existence)
-    assert calls[-1][:2] == (w.x, w.y)
-    assert len(calls) <= 4 * len({c[:2] for c in calls})
+    graphs = [not_color_connected_graph()[0]]
+    graphs += [ac.gen_random(4 + s % 7, s, 0.2 + 0.1 * (s % 4)) for s in range(40)]
+    for g in graphs:
+        calls.clear()
+        w = color_connectivity_witness(g)
+        # no (pair, key) is searched twice
+        assert len(set(calls)) == len(calls)
+        if w is None:
+            continue
+        assert list(w.existence) == [(BLUE, BLUE), (BLUE, RED), (RED, BLUE), (RED, RED)]
+        # False comes only from a search: a witness key never searched was
+        # answered True by a recorded subpath
+        at_witness = {c[2:] for c in calls if c[:2] == (w.x, w.y)}
+        assert all(w.existence[key] for key in set(w.existence) - at_witness)
+        assert calls[-1][:2] == (w.x, w.y)
+
+
+def known_paths(known):
+    """The (a, b, first, last) entries of a witness table, a < b."""
+    return {
+        (a, a + 1 + k, f, l)
+        for f in Color
+        for l in Color
+        for a, row in enumerate(known[f is RED][l is RED])
+        for k in bits(row)
+    }
+
+
+def subpaths(path):
+    """(a, b, first, last) of each subpath of `path`, oriented a < b."""
+    vs, cs = path.vertices, path.colors
+    out = set()
+    for i in range(len(vs)):
+        for j in range(i + 1, len(vs)):
+            a, b, f, l = vs[i], vs[j], cs[i], cs[j - 1]
+            out.add((a, b, f, l) if a < b else (b, a, l, f))
+    return out
+
+
+def test_table_records_exactly_the_subpaths_of_each_path():
+    records = 0
+    for seed in range(60):
+        g = ac.gen_random(3 + seed % 7, seed, 0.2 + 0.1 * (seed % 5))
+        replayed = {}
+        everything = [[[0] * g.n for _ in range(2)] for _ in range(2)]
+        union = set()
+        for x in range(g.n):
+            for y in range(g.n):
+                if x == y:
+                    continue
+                for first in Color:
+                    for last in Color:
+                        path = ac.exists_alternating_path(g, x, y, first, last)
+                        if path is None:
+                            continue
+                        known = [[[0] * g.n for _ in range(2)] for _ in range(2)]
+                        predicates._record_subpaths(known, path)
+                        got = known_paths(known)
+                        assert got == subpaths(path)
+                        for entry in got:
+                            if entry not in replayed:
+                                replayed[entry] = ac.oracle_alt_path(g, *entry) is not None
+                            assert replayed[entry], entry
+                        predicates._record_subpaths(everything, path)
+                        union |= got
+                        records += 1
+        assert known_paths(everything) == union
+    assert records > 1000
 
 
 def eager_color_connectivity_witness(g):
@@ -398,3 +458,27 @@ def test_path_search_is_not_recursive():
     assert p.vertices == (0, *range(1199, 0, -1))
     with pytest.raises(OutOfRangeError):
         ac.exists_alternating_path(g, 0, 1200, RED, RED)
+
+
+def test_witness_table_stays_within_its_memory_bound():
+    # the input of test_cli's deep search: (0, 1)'s red-first path runs
+    # through all 1200 vertices and fills the table with its 719,400 subpaths
+    n = 1200
+    g = ac.empty(n)
+    for i in range(1, n):
+        g.add_edge(i, (i + 1) % n, BLUE if i % 2 == 0 else RED)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        w = color_connectivity_witness(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (w.x, w.y, w.existence[(RED, RED)]) == (0, 1, True)
+    # the table's n*n/4 bytes, plus per vertex its four ints' headers and
+    # the search's stack. Rows of n bits each, not n - a - 1, peak near 530 KB
+    assert peak < n * n // 4 + 100 * n

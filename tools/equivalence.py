@@ -18,7 +18,7 @@ the rule.
 entries whose digests differ or that only one side has, with both sides'
 labels, and exits 1 if there is any.
 
-The corpus, 35,609 entries:
+The corpus, 35,635 entries:
 - planted seeds 0-5999 through `solve_from_factor`, in both cycle orders,
   and through `solve_hamiltonian`;
 - `merge_pair` both ways on the planted cycle pairs of seeds 0-1499;
@@ -26,8 +26,9 @@ The corpus, 35,609 entries:
   `solve_hamiltonian` and `find_alternating_cycle_factor`, and those with
   n <= 10 through `oracle_factor(g, allow_two_cycles=False)`; its
   color-connected pools of seeds 1-3, through `color_connectivity_witness`;
-- `gen_counterexample(k1, k2)` for 2 <= k1 <= k2 <= 5, through
-  `color_connectivity_witness`;
+- `gen_counterexample(k1, k2)` for 2 <= k1 <= k2 <= 5 and for
+  6 <= k1 <= k2 <= 8, and `gen_random(13 + s % 8, s, 0.3)` for s 0-19,
+  through `color_connectivity_witness`;
 - `gen_complete` for even n 4-80 and seeds 0-2, through
   `solve_hamiltonian`;
 - 3000 graphs `closure_2m(gen_random(4 + s % 11, s, 0.3), s)`, likewise;
@@ -93,9 +94,12 @@ def entries(ac, fx):
                 yield f"oracle-factor {seed} {k}", oracle_factor, (g,)
         for k, g in enumerate(fx.color_connected_graphs(seed)):
             yield f"color-connected {seed} {k}", witness, (g,)
-    for k1 in range(2, 6):
-        for k2 in range(k1, 6):
-            yield f"counterexample {k1} {k2}", witness, (ac.gen_counterexample(k1, k2),)
+    for lo, hi in ((2, 5), (6, 8)):
+        for k1 in range(lo, hi + 1):
+            for k2 in range(k1, hi + 1):
+                yield f"counterexample {k1} {k2}", witness, (ac.gen_counterexample(k1, k2),)
+    for s in range(20):
+        yield f"random-witness {s}", witness, (ac.gen_random(13 + s % 8, s, 0.3),)
     for n in range(4, 81, 2):
         for seed in range(3):
             yield f"complete {n} {seed}", solve, (ac.gen_complete(n, seed),)
