@@ -3,14 +3,15 @@ color-connectivity. All return explicit witnesses on failure."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import BLUE, RED, Color, ColoredMultigraph, OutOfRangeError, bits
 
 
-@dataclass(frozen=True)
-class TwoPath:
+class TwoPath(NamedTuple):
     """A 2-path (x1, x2, x3) with edge colors c1 = [x1,x2], c2 = [x2,x3];
-    reported with x1 < x3 to avoid orientation duplicates."""
+    reported with x1 < x3 to avoid orientation duplicates. A tuple, so the
+    scanner builds one per open 2-path cheaply."""
 
     x1: int
     x2: int
@@ -53,25 +54,38 @@ class AltPath:
 
 def _open_two_paths(g: ColoredMultigraph, mono: bool) -> list[TwoPath]:
     """Every 2-path (x1, x2, x3), x1 < x3, whose endpoints have no edge at
-    all, monochromatic or not as `mono` says, in (x1, x2, x3, c1) order."""
+    all, monochromatic or not as `mono` says, in (x1, x2, x3, c1) order.
+
+    x2 and x3 are walked lowest bit first inline: the scan runs once per
+    edge `closure_2m` adds, so it costs a step per 2-path it emits."""
     blue, red = g.masks(BLUE), g.masks(RED)
-    # second-edge masks after a blue and after a red first edge
+    # second-edge masks and colors after a blue and after a red first edge
     after_blue, after_red = (blue, red) if mono else (red, blue)
+    then_blue, then_red = (BLUE, RED) if mono else (RED, BLUE)
     full = (1 << g.n) - 1
     out = []
     for x1 in range(g.n):
         b1, r1 = blue[x1], red[x1]
-        closed = b1 | r1 | ((2 << x1) - 1)  # x1's neighbors and x3 <= x1
-        if not full & ~closed:  # no x3 left: skips every row of a complete graph
+        # x3 > x1 and not a neighbor of x1
+        far = full & ~(b1 | r1 | ((2 << x1) - 1))
+        if not far:  # skips every row of a complete graph
             continue
-        for x2 in bits(b1 | r1):
-            from_b = after_blue[x2] & ~closed if b1 >> x2 & 1 else 0
-            from_r = after_red[x2] & ~closed if r1 >> x2 & 1 else 0
-            for x3 in bits(from_b | from_r):
-                if from_b >> x3 & 1:
-                    out.append(TwoPath(x1, x2, x3, BLUE, BLUE if mono else RED))
-                if from_r >> x3 & 1:
-                    out.append(TwoPath(x1, x2, x3, RED, RED if mono else BLUE))
+        mid = b1 | r1
+        while mid:
+            low = mid & -mid
+            mid ^= low
+            x2 = low.bit_length() - 1
+            from_b = after_blue[x2] & far if b1 & low else 0
+            from_r = after_red[x2] & far if r1 & low else 0
+            ends = from_b | from_r
+            while ends:
+                end = ends & -ends
+                ends ^= end
+                x3 = end.bit_length() - 1
+                if from_b & end:
+                    out.append(TwoPath(x1, x2, x3, BLUE, then_blue))
+                if from_r & end:
+                    out.append(TwoPath(x1, x2, x3, RED, then_red))
     return out
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 import altcycles as ac
-from altcycles import BLUE, RED, Color, predicates
+from altcycles import BLUE, RED, Color, NotTwoMClosed, predicates
 from altcycles.graph import OutOfRangeError, bits
 from altcycles.predicates import (
     AltPath,
@@ -35,6 +35,29 @@ def test_two_m_violations():
     for c in (BLUE, RED):
         h = g.copy().add_edge(0, 2, c)
         assert ac.is_2m_closed(h)
+
+
+def test_two_path_is_a_read_only_record():
+    w = TwoPath(0, 1, 2, BLUE, RED)
+    # the equivalence digests hash these reprs
+    assert repr(w) == "TwoPath(x1=0, x2=1, x3=2, c1=B, c2=R)"
+    assert (
+        repr(NotTwoMClosed(TwoPath(0, 1, 2, BLUE, BLUE)))
+        == "NotTwoMClosed(witness=TwoPath(x1=0, x2=1, x3=2, c1=B, c2=B))"
+    )
+    with pytest.raises(AttributeError):
+        w.x1 = 3
+    twin = TwoPath(0, 1, 2, BLUE, RED)
+    assert w == twin and hash(w) == hash(twin) and len({w, twin}) == 1
+    assert w != TwoPath(0, 1, 2, BLUE, BLUE)
+    # a tuple of its five fields
+    assert w == (0, 1, 2, BLUE, RED) and len(w) == 5 and list(w)[3] is BLUE
+    g = path_graph(BLUE, RED)
+    assert w.holds_in(g) and w.endpoint_edge_missing(g)
+    assert not TwoPath(0, 1, 2, RED, RED).holds_in(g)
+    assert not TwoPath(0, 1, 0, BLUE, BLUE).holds_in(g)
+    g.add_edge(0, 2, RED)
+    assert w.holds_in(g) and not w.endpoint_edge_missing(g)
 
 
 def test_two_m_ignores_mixed_paths():
@@ -244,7 +267,7 @@ def eager_color_connectivity_witness(g):
     return None
 
 
-def test_lazy_witness_matches_eager_reference():
+def test_lazy_witness_matches_eager_reference(monkeypatch):
     graphs = [ac.gen_random(2 + s % 11, s, 0.1 + 0.4 * (s % 9) / 8) for s in range(500)]
     rng = random.Random(12)
     for k1, k2 in ((2, 2), (2, 3), (3, 3), (2, 4)):
@@ -258,12 +281,28 @@ def test_lazy_witness_matches_eager_reference():
                 for u, v, c in keep:
                     h.add_edge(perm[u], perm[v], c)
                 graphs.append(h)
+    # the call's table, seen through the module global the witness records by
+    tables = []
+    record = predicates._record_subpaths
+
+    def spy(known, path):
+        tables[:] = [known]
+        record(known, path)
+
+    monkeypatch.setattr(predicates, "_record_subpaths", spy)
     verdicts = {True: 0, False: 0}
+    replayed = 0
     for g in graphs:
+        tables.clear()
         got = color_connectivity_witness(g)
         assert repr(got) == repr(eager_color_connectivity_witness(g))
         verdicts[got is None] += 1
+        # a wrong table entry need not decide a verdict: replay every one
+        for entry in known_paths(tables[0]) if tables else ():
+            assert ac.exists_alternating_path(g, *entry) is not None, entry
+            replayed += 1
     assert min(verdicts.values()) > 50
+    assert replayed > 5000
 
 
 def test_color_connected_monotone_under_supergraph():
@@ -429,6 +468,20 @@ def test_two_m_scan_on_near_complete_graphs():
             else:
                 open_paths += got != []
     assert open_paths > 200
+
+
+def test_two_path_scans_on_sparse_graphs_past_64_vertices():
+    """Masks of more than 64 bits are multi-digit ints; both scans must
+    still match the set reference, order included."""
+    found = {True: 0, False: 0}
+    for k, n in enumerate((60, 64, 65, 97, 128, 130)):
+        g = ac.gen_random(n, 900 + k, (2 + k % 3) / n)
+        adj = set_adjacency(g)
+        for mono, scan in ((True, ac.two_m_violations), (False, ac.two_nm_violations)):
+            got = scan(g)
+            assert got == ref_violations(adj, mono)
+            found[mono] += len(got)
+    assert min(found.values()) > 1000
 
 
 def test_path_search_matches_recursive_reference():

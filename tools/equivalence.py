@@ -12,13 +12,13 @@ the error's type and message) and a sha256 over the call's input, its
 normalized result, its trace and any `MergeError`'s type, message and
 offenders. `Merged.rule` is left out of the result, so checkouts from
 before verdicts named their rule still compare; the solver traces carry
-the rule.
+the rule. A graph result is hashed as its text serialization.
 
 `compare` digests both checkouts, in two processes at once, lists the
 entries whose digests differ or that only one side has, with both sides'
 labels, and exits 1 if there is any.
 
-The corpus, 35,635 entries:
+The corpus, 37,735 entries:
 - planted seeds 0-5999 through `solve_from_factor`, in both cycle orders,
   and through `solve_hamiltonian`;
 - `merge_pair` both ways on the planted cycle pairs of seeds 0-1499;
@@ -32,6 +32,10 @@ The corpus, 35,635 entries:
 - `gen_complete` for even n 4-80 and seeds 0-2, through
   `solve_hamiltonian`;
 - 3000 graphs `closure_2m(gen_random(4 + s % 11, s, 0.3), s)`, likewise;
+- `gen_random(2 + s % 40, s, 0.05 + 0.5 * (s % 10) / 9)` for s 0-999,
+  through the full `two_m_violations` and `two_nm_violations` lists;
+- `closure_2m(gen_random(16, s, 0.1), s)` for s 0-99, the closure
+  benchmark's shape;
 - the 96 two-square colorings that once raised, in both cycle orders;
 - the fixtures G8, G8b and G12 on their factors.
 """
@@ -75,6 +79,15 @@ def entries(ac, fx):
     def oracle_factor(g, trace):
         return _cycles(ac.oracle_factor(g, allow_two_cycles=False))
 
+    def two_m(g, trace):
+        return ac.two_m_violations(g)
+
+    def two_nm(g, trace):
+        return ac.two_nm_violations(g)
+
+    def closure(g, seed, trace):
+        return ac.closure_2m(g, seed)
+
     solve, from_factor = ac.solve_hamiltonian, ac.solve_from_factor
     for seed in range(6000):
         g, cycles = fx.planted_instance(seed)
@@ -105,6 +118,12 @@ def entries(ac, fx):
             yield f"complete {n} {seed}", solve, (ac.gen_complete(n, seed),)
     for s in range(3000):
         yield f"closure {s}", solve, (ac.closure_2m(ac.gen_random(4 + s % 11, s, 0.3), s),)
+    for s in range(1000):
+        g = ac.gen_random(2 + s % 40, s, 0.05 + 0.5 * (s % 10) / 9)
+        yield f"two-m {s}", two_m, (g,)
+        yield f"two-nm {s}", two_nm, (g,)
+    for s in range(100):
+        yield f"closure-2m {s}", closure, (ac.gen_random(16, s, 0.1), s)
     for first in (ac.BLUE, ac.RED):
         for code in (*fx.ONE_ORDER_CODES[first], *fx.BOTH_ORDER_CODES[first]):
             g, a, b = fx.two_square_coloring(code, first)
@@ -132,6 +151,8 @@ def digest(root: Path) -> list[tuple[str, str, str]]:
             label = type(result).__name__
             if isinstance(result, ac.Merged):  # leave out `rule`
                 result = ("Merged", result.cycle)
+            elif isinstance(result, ac.ColoredMultigraph):
+                result = ac.serialize_text(result)
         except ac.merge.MergeError as exc:
             result = None
             error = (type(exc).__name__, str(exc), repr(getattr(exc, "offenders", None)))
