@@ -143,11 +143,11 @@ def _cmd_solve(args) -> int:
     return EXIT_NOT_2M_CLOSED
 
 
-def _print_factor(factor: tuple[AltCycle, ...] | None) -> int:
-    if factor is None:
+def _print_cycles(cycles: tuple[AltCycle, ...] | None) -> int:
+    if cycles is None:
         print("none")
         return EXIT_FALSE
-    for cycle in factor:
+    for cycle in cycles:
         print(_cycle_line(cycle))
     return EXIT_OK
 
@@ -161,7 +161,7 @@ def _cmd_factor(args) -> int:
         factor = find_factor_without_two_cycles(g) or oracles.oracle_factor(
             g, allow_two_cycles=False
         )
-    return _print_factor(factor)
+    return _print_cycles(factor)
 
 
 def _cmd_generate(args) -> int:
@@ -187,12 +187,8 @@ def _cmd_oracle(args) -> int:
     g = _read_graph(args.file)
     if args.kind == "hamiltonian":
         cycle = oracles.oracle_hamiltonian(g)
-        if cycle is None:
-            print("none")
-            return EXIT_FALSE
-        print(_cycle_line(cycle))
-        return EXIT_OK
-    return _print_factor(oracles.oracle_factor(g))
+        return _print_cycles(None if cycle is None else (cycle,))
+    return _print_cycles(oracles.oracle_factor(g))
 
 
 def _cmd_export_dot(args) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .graph import BLUE, Color, ColoredMultigraph
+from .graph import BLUE, Color, ColoredMultigraph, alternating
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class AltCycle:
         Keeps the odd/even position classes (length is even), flips the
         color of the first edge.
         """
-        m = len(self.vertices)
         verts = (self.vertices[0],) + tuple(self.vertices[:0:-1])
         cols = tuple(self.colors[::-1])
         return AltCycle(verts, cols)
@@ -90,24 +89,22 @@ def decode_cycles(partner: Mapping[Color, Sequence[int]], n: int) -> tuple[AltCy
         if start in seen:
             continue
         verts = [start]
-        cols = []
         v, color = start, BLUE
         while True:
             u = partner[color][v]
-            cols.append(color)
             seen.add(v)
             if u == start:
                 break
             verts.append(u)
             v, color = u, color.other
-        cycles.append(AltCycle(tuple(verts), tuple(cols)))
+        cycles.append(AltCycle(tuple(verts), alternating(BLUE, len(verts))))
     return tuple(cycles)
 
 
 def validate_cycle(g: ColoredMultigraph, cycle: AltCycle) -> bool:
     """Check all AltCycle invariants against the host graph; a vertex
     outside 0..n-1 makes the cycle invalid, not an error."""
-    if not cycle.well_formed() or not all(0 <= v < g.n for v in cycle.vertices):
+    if not cycle.well_formed() or not 0 <= min(cycle.vertices) <= max(cycle.vertices) < g.n:
         return False
     m = len(cycle)
     return all(
@@ -117,30 +114,26 @@ def validate_cycle(g: ColoredMultigraph, cycle: AltCycle) -> bool:
 
 
 def validate_factor(g: ColoredMultigraph, cycles: Iterable[AltCycle]) -> bool:
-    covered: set[int] = set()
-    for cycle in cycles:
-        if not validate_cycle(g, cycle):
-            return False
-        vs = cycle.vertex_set()
-        if covered & vs:
-            return False
-        covered |= vs
-    return covered == set(range(g.n))
+    """Every cycle valid in g, and each vertex of g on exactly one of them."""
+    cycles = tuple(cycles)
+    spanned = sorted(v for c in cycles for v in c.vertices)
+    return all(validate_cycle(g, c) for c in cycles) and spanned == list(range(g.n))
 
 
 def cycle_from_vertex_sequence(
     g: ColoredMultigraph, seq: list[int] | tuple[int, ...]
 ) -> AltCycle | None:
-    """Alternating cycle visiting `seq` in order, or None.
+    """Alternating cycle of g visiting `seq` in order, or None; None also
+    when a vertex of `seq` is outside g.
 
-    With two colors, alternation forces the color pattern up to the choice
-    of the first edge's color, so both parities are tried.
+    Alternation forces the colors once the first edge's color is chosen, so
+    both choices are tried.
     """
     m = len(seq)
-    if m < 2 or m % 2 != 0 or len(set(seq)) != m:
+    if m < 2 or m % 2 != 0 or len(set(seq)) != m or not 0 <= min(seq) <= max(seq) < g.n:
         return None
     for first in Color:
-        cols = tuple(first if k % 2 == 0 else first.other for k in range(m))
+        cols = alternating(first, m)
         if all(
             g.has_edge_color(seq[k], seq[(k + 1) % m], cols[k]) for k in range(m)
         ):

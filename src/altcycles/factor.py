@@ -12,7 +12,7 @@ from itertools import islice
 import networkx as nx
 
 from .cycles import AltCycle, decode_cycles
-from .graph import Color, ColoredMultigraph, OutOfRangeError, bits
+from .graph import BLUE, RED, Color, ColoredMultigraph, OutOfRangeError, bits
 
 
 def maximum_matching(edges: list[tuple[int, int]], n: int) -> list[int | None]:
@@ -43,12 +43,7 @@ def _edges(g: ColoredMultigraph, color: Color) -> list[tuple[int, int]]:
 
 def find_alternating_cycle_factor(g: ColoredMultigraph) -> tuple[AltCycle, ...] | None:
     """Alternating cycle factor of g, or None if none exists."""
-    partner: dict[Color, list[int | None]] = {}
-    for color in Color:
-        partner[color] = maximum_matching(_edges(g, color), g.n)
-        if None in partner[color]:
-            return None
-    return decode_cycles(partner, g.n)
+    return _two_matchings(g, BLUE, disjoint=False)
 
 
 def find_factor_without_two_cycles(g: ColoredMultigraph) -> tuple[AltCycle, ...] | None:
@@ -58,12 +53,18 @@ def find_factor_without_two_cycles(g: ColoredMultigraph) -> tuple[AltCycle, ...]
     pairs already matched, blue first and then red first. None when neither
     order completes, which does not prove that no such factor exists.
     """
-    for first in Color:
-        taken = maximum_matching(_edges(g, first), g.n)
-        if None in taken:  # g has no factor at all
-            return None
-        rest = [(u, v) for u, v in _edges(g, first.other) if taken[u] != v]
-        partner = {first: taken, first.other: maximum_matching(rest, g.n)}
-        if None not in partner[first.other]:
-            return decode_cycles(partner, g.n)
-    return None
+    return _two_matchings(g, BLUE, disjoint=True) or _two_matchings(g, RED, disjoint=True)
+
+
+def _two_matchings(
+    g: ColoredMultigraph, first: Color, disjoint: bool
+) -> tuple[AltCycle, ...] | None:
+    """The factor of a perfect matching of `first` and one of the other
+    color, which leaves out the first's matched pairs if `disjoint`; None
+    when either matching is not perfect."""
+    taken = maximum_matching(_edges(g, first), g.n)
+    if None in taken:
+        return None
+    rest = [(u, v) for u, v in _edges(g, first.other) if not disjoint or taken[u] != v]
+    partner = {first: taken, first.other: maximum_matching(rest, g.n)}
+    return None if None in partner[first.other] else decode_cycles(partner, g.n)

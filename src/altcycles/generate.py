@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from .cycles import AltCycle, validate_cycle
-from .graph import BLUE, RED, Color, ColoredMultigraph, empty, reachable
+from .graph import BLUE, RED, Color, ColoredMultigraph, alternating, empty, reachable
 from .predicates import is_2nm_closed, two_m_violations
 
 
@@ -67,9 +67,7 @@ def counterexample_cycles(k1: int, k2: int) -> tuple[AltCycle, AltCycle]:
     """The two alternating cycles the counterexample family is built on."""
 
     def ring(offset: int, half: int) -> AltCycle:
-        verts = tuple(range(offset, offset + 2 * half))
-        cols = tuple(BLUE if i % 2 == 0 else RED for i in range(2 * half))
-        return AltCycle(verts, cols)
+        return AltCycle(tuple(range(offset, offset + 2 * half)), alternating(BLUE, 2 * half))
 
     return ring(0, k1), ring(2 * k1, k2)
 

@@ -64,6 +64,13 @@ RED = Color.RED
 _BY_LETTER = {c.value: c for c in Color}
 
 
+def alternating(first: Color, m: int) -> tuple[Color, ...]:
+    """The colors of m consecutive edges of an alternating path or cycle
+    whose first edge has color `first`: with two colors, alternation forces
+    every other one."""
+    return (first, first.other) * (m // 2) + (first,) * (m % 2)
+
+
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of `mask`, ascending."""
     while mask:
@@ -87,9 +94,11 @@ class ColoredMultigraph:
         # neighbor masks indexed by `color is RED`; symmetric by construction
         self._adj: list[list[int]] = [[0] * n, [0] * n]
 
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise OutOfRangeError(f"vertex {v} outside 0..{self.n - 1}")
+    def check_vertices(self, *vertices: int) -> None:
+        """Raise OutOfRangeError naming the first of `vertices` outside 0..n-1."""
+        for v in vertices:
+            if not 0 <= v < self.n:
+                raise OutOfRangeError(f"vertex {v} outside 0..{self.n - 1}")
 
     def add_edge(self, u: int, v: int, color: Color) -> ColoredMultigraph:
         """Insert the colored edge {u, v}; idempotent. Returns self."""
@@ -98,8 +107,7 @@ class ColoredMultigraph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
             return self
-        self._check_vertex(u)
-        self._check_vertex(v)
+        self.check_vertices(u, v)
         raise LoopError(f"loop at vertex {u}")
 
     def masks(self, color: Color) -> list[int]:
@@ -109,13 +117,11 @@ class ColoredMultigraph:
         return self._adj[color is RED]
 
     def has_edge_color(self, u: int, v: int, color: Color) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        self.check_vertices(u, v)
         return self._adj[color is RED][u] >> v & 1 == 1
 
     def has_edge_any(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        self.check_vertices(u, v)
         blue, red = self._adj
         return (blue[u] | red[u]) >> v & 1 == 1
 
@@ -178,9 +184,9 @@ def induced_subgraph(
     if len(index) != len(order):
         repeated = next(u for u, v in zip(order, order[1:]) if u == v)
         raise ValueError(f"vertex {repeated} repeated")
+    g.check_vertices(*order)
     sub = ColoredMultigraph(len(order))
     for u in order:
-        g._check_vertex(u)
         for color in (BLUE, RED):
             for v in bits(g.masks(color)[u]):
                 if v in index and u < v:

@@ -23,7 +23,7 @@ from itertools import combinations
 
 from . import factor
 from .cycles import AltCycle, cycle_from_vertex_sequence, validate_cycle, validate_factor
-from .graph import BLUE, RED, Color, ColoredMultigraph, OutOfRangeError, bits, reachable
+from .graph import BLUE, RED, Color, ColoredMultigraph, bits, reachable
 
 # Not called here: the benchmark's tracer hooks `altcycles.merge.oracle_merge`
 # to show that the solver never searches exhaustively (its count reads 0).
@@ -154,7 +154,7 @@ def color_dominates(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> Color |
     c1's even-position class is complete in that color, and joined to all of
     c2 in it alone; its odd-position class likewise in the other color.
     Raises OutOfRangeError on a vertex outside g."""
-    _check_on_graph(g, (*c1.vertices, *c2.vertices))
+    g.check_vertices(*c1.vertices, *c2.vertices)
     for color in (BLUE, RED):
         if _dominates_with(g, c1, c2, color):
             return color
@@ -177,13 +177,6 @@ def _mask(vertices: Iterable[int]) -> int:
     return sum(1 << v for v in vertices)
 
 
-def _check_on_graph(g: ColoredMultigraph, vertices: Iterable[int]) -> None:
-    """Raise OutOfRangeError naming the first of `vertices` outside g."""
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise OutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
-
-
 # ---------------------------------------------------------------------------
 # pairwise merge
 
@@ -202,7 +195,7 @@ def merge_pair(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> MergeOutcome
     the arguments mirrors a domination's source, and may pick another
     merged cycle.
     """
-    _check_on_graph(g, (*c1.vertices, *c2.vertices))
+    g.check_vertices(*c1.vertices, *c2.vertices)
     in_c2 = _mask(c2.vertices)
     if _mask(c1.vertices) & in_c2:
         raise ValueError("the cycles share a vertex")

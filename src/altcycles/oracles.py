@@ -11,7 +11,7 @@ from .graph import (
     RED,
     Color,
     ColoredMultigraph,
-    OutOfRangeError,
+    alternating,
     bits,
     induced_subgraph,
 )
@@ -35,8 +35,7 @@ def oracle_hamiltonian(g: ColoredMultigraph) -> AltCycle | None:
     def dfs(v: int, need: Color, first: Color) -> AltCycle | None:
         if len(seq) == n:
             if g.has_edge_color(v, 0, need):
-                cols = tuple(first if k % 2 == 0 else first.other for k in range(n))
-                return AltCycle(tuple(seq), cols)
+                return AltCycle(tuple(seq), alternating(first, n))
             return None
         for u in bits(g.masks(need)[v]):
             if used[u]:
@@ -107,8 +106,7 @@ def oracle_alt_path(
     (x, y)-paths ignoring colors, then test the forced color schedule."""
     if x == y:
         raise ValueError("endpoints must differ")
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise OutOfRangeError(f"endpoints {x}, {y} outside 0..{g.n - 1}")
+    g.check_vertices(x, y)
     blue, red = g.masks(BLUE), g.masks(RED)
     stack = [x]
     on = {x}
@@ -128,7 +126,7 @@ def oracle_alt_path(
 
     for seq in paths(x):
         m = len(seq) - 1
-        cols = tuple(first if k % 2 == 0 else first.other for k in range(m))
+        cols = alternating(first, m)
         if cols[-1] is not last:
             continue
         if all(g.has_edge_color(seq[k], seq[k + 1], cols[k]) for k in range(m)):

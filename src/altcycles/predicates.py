@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import BLUE, RED, Color, ColoredMultigraph, OutOfRangeError, bits
+from .graph import BLUE, RED, Color, ColoredMultigraph, alternating, bits
 
 
 class TwoPath(NamedTuple):
@@ -151,8 +151,7 @@ def exists_alternating_path(
     """
     if x == y:
         raise ValueError("endpoints must differ")
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise OutOfRangeError(f"endpoints {x}, {y} outside 0..{g.n - 1}")
+    g.check_vertices(x, y)
     adj = (g.masks(BLUE), g.masks(RED))
     need, want = first is RED, last is RED  # color indices into adj
     path = [x]
@@ -171,10 +170,7 @@ def exists_alternating_path(
         u = low.bit_length() - 1
         if u == y:
             if need == want:
-                cols = tuple(
-                    first if k % 2 == 0 else first.other for k in range(len(path))
-                )
-                return AltPath(tuple(path) + (y,), cols)
+                return AltPath(tuple(path) + (y,), alternating(first, len(path)))
             continue
         path.append(u)
         on_path |= low

@@ -73,7 +73,8 @@ def test_validate_cycle():
     # a vertex outside the graph
     g4 = ac.empty(4)
     ring(g4, 0, 2)
-    assert not ac.validate_cycle(g4, AltCycle((0, 1, 2, 9), alt_colors(4, BLUE)))
+    for outside in ((0, 1, 2, 9), (0, 1, 2, -1)):
+        assert not ac.validate_cycle(g4, AltCycle(outside, alt_colors(4, BLUE)))
 
 
 def test_validate_factor():
@@ -94,6 +95,9 @@ def test_cycle_from_vertex_sequence_infers_colors():
     assert got == c
     assert cycle_from_vertex_sequence(g, [0, 2, 1, 3]) is None
     assert cycle_from_vertex_sequence(g, [0, 1, 2]) is None  # odd length
+    # a vertex outside the graph rejects the cycle, as in validate_cycle
+    assert cycle_from_vertex_sequence(g, [0, 1, 2, 9]) is None
+    assert cycle_from_vertex_sequence(g, [0, 1, 2, -1]) is None
     # a parallel 2-cycle is a valid alternating cycle
     h = ac.empty(2)
     h.add_edge(0, 1, BLUE).add_edge(0, 1, RED)

@@ -59,6 +59,15 @@ def test_add_edge_rejects_loops_and_bad_vertices():
         g.add_edge(-1, 0, RED)
 
 
+def test_check_vertices_names_the_first_offender():
+    g = ac.empty(4)
+    g.check_vertices()
+    g.check_vertices(0, 3, 3)
+    for vertices, named in (((0, -1, 4), -1), ((4, -1), 4), ((3, 0, 4), 4)):
+        with pytest.raises(OutOfRangeError, match=rf"^vertex {named} outside 0\.\.3$"):
+            g.check_vertices(*vertices)
+
+
 def test_edges_sorted():
     g = ac.empty(3)
     g.add_edge(2, 1, RED).add_edge(1, 0, BLUE).add_edge(1, 2, BLUE)

@@ -68,8 +68,9 @@ def test_oracle_alt_path_basics():
     p = ac.oracle_alt_path(g, 0, 3, BLUE, BLUE)
     assert p is not None and p.holds_in(g)
     assert ac.oracle_alt_path(g, 0, 3, RED, BLUE) is None
-    for x, y in ((-1, 3), (0, 4)):  # endpoints are range-checked, never wrapped
-        with pytest.raises(OutOfRangeError):
+    # endpoints are range-checked, never wrapped; the first offender is named
+    for x, y, named in ((-1, 3, -1), (0, 4, 4), (4, -1, 4)):
+        with pytest.raises(OutOfRangeError, match=rf"^vertex {named} outside 0\.\.3$"):
             ac.oracle_alt_path(g, x, y, BLUE, BLUE)
 
 

@@ -115,6 +115,9 @@ def test_exists_alternating_path_basic():
     assert ac.exists_alternating_path(g, 0, 1, BLUE, BLUE) is not None
     with pytest.raises(ValueError):
         ac.exists_alternating_path(g, 0, 0, BLUE, BLUE)
+    for x, y, named in ((-1, 3, -1), (0, 4, 4), (4, -1, 4)):
+        with pytest.raises(OutOfRangeError, match=rf"^vertex {named} outside 0\.\.3$"):
+            ac.exists_alternating_path(g, x, y, BLUE, BLUE)
 
 
 def test_exists_alternating_path_needs_alternation():

@@ -45,6 +45,23 @@ def test_adjacency_storage_stays_in_graph_module():
     assert found == []
 
 
+def test_range_errors_are_raised_in_graph_and_factor_only():
+    """Vertex ranges are checked by `ColoredMultigraph.check_vertices`, and
+    `maximum_matching` checks its own edge list, so no other module spells
+    the check again."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in library_nodes()
+        if name not in ("graph.py", "factor.py")
+        and isinstance(node, ast.Raise)
+        and any(
+            getattr(sub, "id", getattr(sub, "attr", None)) == "OutOfRangeError"
+            for sub in ast.walk(node)
+        )
+    ]
+    assert found == []
+
+
 def test_no_unused_imports():
     """Every imported name is read in its module, re-exported through the
     package's `__all__`, or marked `# noqa: F401` beside its reason."""
