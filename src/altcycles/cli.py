@@ -165,20 +165,21 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    low = 1 if args.family == "complete-random" else 0
-    if args.family == "counterexample":
-        if min(args.k1, args.k2) < 2 or 2 * (args.k1 + args.k2) > MAX_VERTICES:
-            return _usage_error(f"need --k1, --k2 >= 2 and 2 * (k1 + k2) <= {MAX_VERTICES}")
-        g = generate.gen_counterexample(args.k1, args.k2)
-    elif not low <= args.n <= MAX_VERTICES:
-        return _usage_error(f"need {low} <= --n <= {MAX_VERTICES}")
-    elif args.family == "complete-random":
-        g = generate.gen_complete(args.n, args.seed)
-    elif not 0 <= args.density <= 1:  # NaN fails too
-        return _usage_error("need 0 <= --density <= 1")
-    else:
-        base = generate.gen_random(args.n, args.seed, args.density)
-        g = generate.closure_2m(base, args.seed, args.color)
+    counterexample = args.family == "counterexample"
+    size, name = (2 * (args.k1 + args.k2), "2 * (k1 + k2)") if counterexample else (args.n, "--n")
+    if size > MAX_VERTICES:  # the output must parse; the generators check the rest
+        return _usage_error(f"need {name} <= {MAX_VERTICES}")
+    try:
+        if counterexample:
+            g = generate.gen_counterexample(args.k1, args.k2)
+        elif args.family == "complete-random":
+            g = generate.gen_complete(args.n, args.seed)
+        else:
+            g = generate.gen_random(args.n, args.seed, args.density)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    if args.family == "closure-2m":
+        g = generate.closure_2m(g, args.seed, args.color)
     sys.stdout.write(serialize_text(g))
     return EXIT_OK
 

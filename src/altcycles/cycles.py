@@ -129,13 +129,8 @@ def cycle_from_vertex_sequence(
     Alternation forces the colors once the first edge's color is chosen, so
     both choices are tried.
     """
-    m = len(seq)
-    if m < 2 or m % 2 != 0 or len(set(seq)) != m or not 0 <= min(seq) <= max(seq) < g.n:
-        return None
     for first in Color:
-        cols = alternating(first, m)
-        if all(
-            g.has_edge_color(seq[k], seq[(k + 1) % m], cols[k]) for k in range(m)
-        ):
-            return AltCycle(tuple(seq), cols)
+        cycle = AltCycle(tuple(seq), alternating(first, len(seq)))
+        if validate_cycle(g, cycle):
+            return cycle
     return None

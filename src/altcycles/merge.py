@@ -221,19 +221,17 @@ def merge_pair(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> MergeOutcome
         for v in bits((blue[u] | red[u]) & in_c2):
             a, b = appropriately_label(g, c1, c2, (u, v))
             for rule, construct in (("mixed-star", _merge_mixed_star), ("chord", _merge_chord)):
-                merged = construct(g, a, b, a.colors[0])
+                merged = construct(g, a, b)
                 if merged is not None:
                     return Merged(merged, rule)
     raise StructureViolation("no merge pattern", (c1, c2))
 
 
-def _merge_mixed_star(
-    g: ColoredMultigraph, a: AltCycle, b: AltCycle, base: Color
-) -> AltCycle | None:
+def _merge_mixed_star(g: ColoredMultigraph, a: AltCycle, b: AltCycle) -> AltCycle | None:
     """Mixed colors from x_1 to the odd-position class of c2: rotate c2 so
-    [x_1, y_1] carries the base color and [x_1, y_3] the other, then read off
-    the explicit merged cycle."""
-    n, m = len(a), len(b)
+    [x_1, y_1] carries the base color, the color of a's first edge, and
+    [x_1, y_3] the other, then read off the explicit merged cycle."""
+    n, m, base = len(a), len(b), a.colors[0]
     xs, ys = a.vertices, b.vertices
     own, other = g.masks(base)[xs[0]], g.masks(base.other)[xs[0]]
     for shift in range(0, m, 2):
@@ -249,13 +247,12 @@ def _merge_mixed_star(
     return cycle_from_vertex_sequence(g, seq)
 
 
-def _merge_chord(
-    g: ColoredMultigraph, a: AltCycle, b: AltCycle, base: Color
-) -> AltCycle | None:
+def _merge_chord(g: ColoredMultigraph, a: AltCycle, b: AltCycle) -> AltCycle | None:
     """An off-pattern chord inside one cycle's odd class (other color) or
-    even class (base color) threads both cycles into one. Rotating both
-    cycles by one swaps the classes and the roles of the colors, so one
-    construction serves both; either cycle may carry the chord."""
+    even class (base: a's first edge color) threads both cycles into one.
+    Rotating both cycles by one swaps the classes and the roles of the
+    colors, so one construction serves both; either cycle may carry the chord."""
+    base = a.colors[0]
     for xc, yc, color in (
         (a, b, base.other),
         (a.rotate(1), b.rotate(1), base),

@@ -84,8 +84,6 @@ def oracle_factor(
                 continue
             if not allow_two_cycles and partner[color.other][v] == u:
                 continue
-            if not allow_two_cycles and partner[color.other][u] == v:
-                continue
             partner[color][v] = u
             partner[color][u] = v
             if fill(k + 1):

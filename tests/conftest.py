@@ -51,6 +51,15 @@ def complete_within(g: ColoredMultigraph, cycle: AltCycle, chord_color=BLUE) -> 
                 changed = True
 
 
+def assert_no_alternating_path(g: ColoredMultigraph, vertex: int, target: int, start: Color):
+    """Replay a not-color-connected certificate: no alternating path from
+    `vertex` to `target` starts with `start`, whatever its last color."""
+    for last in (BLUE, RED):
+        assert (
+            ac.exists_alternating_path(g, vertex, target, start, last) is None
+        ), ac.serialize_text(g)
+
+
 def domination_pair_graph() -> tuple[ColoredMultigraph, AltCycle, AltCycle]:
     """Two disjoint alternating cycles where the first blue-dominates the
     second and no good pair exists; the graph is 2-M-closed."""

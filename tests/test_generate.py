@@ -20,6 +20,9 @@ def test_gen_complete_shape_and_determinism():
             assert g.has_edge_color(u, v, BLUE) != g.has_edge_color(u, v, RED)
     assert g == ac.gen_complete(6, 42)
     assert g != ac.gen_complete(6, 43)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            ac.gen_complete(n, 0)
 
 
 def test_gen_random_density_and_determinism():
@@ -161,3 +164,6 @@ def test_counterexample_at_the_vertex_limit():
     assert g.n == MAX_VERTICES
     # a blue edge per block, four red edges per link: 5000 ring links and one more
     assert g.edge_count() == 5000 + 4 * 5001
+    for k1, k2 in ((1, 2), (2, 1)):  # and below the smallest ring
+        with pytest.raises(ValueError, match="^cycle half-lengths must be at least 2$"):
+            ac.gen_counterexample(k1, k2)

@@ -34,6 +34,7 @@ from conftest import (
     G8b,
     G12,
     ONE_ORDER_CODES,
+    assert_no_alternating_path,
     complete_within,
     dominate,
     domination_pair_graph,
@@ -352,8 +353,7 @@ def test_domination_triangle_solves_to_hamiltonian():
     g, _cycles = triangle_graph((BLUE, BLUE, RED))
     result = ac.solve_hamiltonian(g)
     assert isinstance(result, HamiltonianCycle)
-    assert ac.validate_cycle(g, result.cycle)
-    assert result.cycle.vertex_set() == set(range(g.n))
+    assert ac.validate_factor(g, [result.cycle])
 
 
 def test_digraph_rejects_merged_pair_of_two_way_planting():
@@ -523,11 +523,7 @@ def test_solve_not_color_connected_certificate():
     cert = result.certificate
     assert cert.vertex in cert.cycle.vertex_set()
     assert cert.target not in cert.cycle.vertex_set()
-    for last in (BLUE, RED):
-        assert (
-            ac.exists_alternating_path(g, cert.vertex, cert.target, cert.start_color, last)
-            is None
-        )
+    assert_no_alternating_path(g, cert.vertex, cert.target, cert.start_color)
     assert not ac.is_color_connected(g)
     assert ac.oracle_hamiltonian(g) is None
 
@@ -539,11 +535,7 @@ def test_solve_disconnected_factor():
     result = ac.solve_hamiltonian(g)
     assert isinstance(result, NotColorConnected)
     cert = result.certificate
-    for last in (BLUE, RED):
-        assert (
-            ac.exists_alternating_path(g, cert.vertex, cert.target, cert.start_color, last)
-            is None
-        )
+    assert_no_alternating_path(g, cert.vertex, cert.target, cert.start_color)
 
 
 @pytest.mark.parametrize("joined, target", [(False, 8), (True, 0)])
@@ -584,8 +576,7 @@ def test_solve_agrees_with_oracle_on_closed_graphs():
         oracle = ac.oracle_hamiltonian(h)
         if isinstance(result, HamiltonianCycle):
             assert oracle is not None
-            assert ac.validate_cycle(h, result.cycle)
-            assert result.cycle.vertex_set() == set(range(h.n))
+            assert ac.validate_factor(h, [result.cycle])
         else:
             assert oracle is None
 
@@ -725,17 +716,12 @@ def _assert_matches_oracle(g, result):
     oracle = ac.oracle_hamiltonian(g)
     if isinstance(result, HamiltonianCycle):
         assert oracle is not None
-        assert ac.validate_cycle(g, result.cycle)
-        assert sorted(result.cycle.vertices) == list(range(g.n))
+        assert ac.validate_factor(g, [result.cycle])
         return
     assert isinstance(result, NotColorConnected)
     assert oracle is None
     cert = result.certificate
-    for last in (BLUE, RED):
-        assert (
-            ac.exists_alternating_path(g, cert.vertex, cert.target, cert.start_color, last)
-            is None
-        )
+    assert_no_alternating_path(g, cert.vertex, cert.target, cert.start_color)
 
 
 def _closed_mixed_star_graph():

@@ -325,6 +325,7 @@ def test_alt_path_well_formed():
     assert not AltPath((0, 1, 2), (BLUE, BLUE)).well_formed()
     assert not AltPath((0, 1, 0), (BLUE, RED)).well_formed()
     assert not AltPath((0,), ()).well_formed()
+    assert not AltPath((0, 1, 2), (BLUE,)).well_formed()  # one color short
 
 
 # Set-based references: the implementations the bit-mask core replaced.
