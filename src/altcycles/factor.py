@@ -12,7 +12,7 @@ from itertools import islice
 import networkx as nx
 
 from .cycles import AltCycle, decode_cycles
-from .graph import BLUE, RED, Color, ColoredMultigraph, OutOfRangeError, bits
+from .graph import BLUE, RED, Color, ColoredMultigraph, OutOfRangeError, bits, reachable
 
 
 def maximum_matching(edges: list[tuple[int, int]], n: int) -> list[int | None]:
@@ -62,9 +62,25 @@ def _two_matchings(
     """The factor of a perfect matching of `first` and one of the other
     color, which leaves out the first's matched pairs if `disjoint`; None
     when either matching is not perfect."""
+    if _odd_component(g, BLUE) or _odd_component(g, RED):
+        return None
     taken = maximum_matching(_edges(g, first), g.n)
     if None in taken:
         return None
     rest = [(u, v) for u, v in _edges(g, first.other) if not disjoint or taken[u] != v]
     partner = {first: taken, first.other: maximum_matching(rest, g.n)}
     return None if None in partner[first.other] else decode_cycles(partner, g.n)
+
+
+def _odd_component(g: ColoredMultigraph, color: Color) -> bool:
+    """Whether the edges of `color` leave a component of odd order, which no
+    perfect matching covers (Tutte 1947, with S empty). Deleting edges from
+    an odd component leaves an odd part, so this also rules out the
+    matching on a subset of those edges."""
+    left = (1 << g.n) - 1
+    while left:
+        part = reachable(g, (left & -left).bit_length() - 1, color=color)
+        if part.bit_count() % 2:
+            return True
+        left ^= part
+    return False

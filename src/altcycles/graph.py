@@ -160,15 +160,18 @@ def empty(n: int) -> ColoredMultigraph:
     return ColoredMultigraph(n)
 
 
-def reachable(g: ColoredMultigraph, start: int, avoid: int = 0) -> int:
-    """Mask of the vertices reachable from `start` over edges of both
-    colors without entering a vertex of the `avoid` mask."""
-    blue, red = g.masks(BLUE), g.masks(RED)
+def reachable(
+    g: ColoredMultigraph, start: int, avoid: int = 0, color: Color | None = None
+) -> int:
+    """Mask of the vertices reachable from `start` over edges of `color`, or
+    of both colors if None, without entering a vertex of the `avoid` mask."""
+    # one color is read twice, so both cases share the loop at its old cost
+    one, two = (g.masks(BLUE), g.masks(RED)) if color is None else (g.masks(color),) * 2
     seen = frontier = 1 << start
     while frontier:
         reach = 0
         for v in bits(frontier):
-            reach |= blue[v] | red[v]
+            reach |= one[v] | two[v]
         frontier = reach & ~(seen | avoid)
         seen |= frontier
     return seen

@@ -111,16 +111,43 @@ def closed_alternating_witness(
     g: ColoredMultigraph,
 ) -> tuple[int, int, int, int] | None:
     """First alternating 3-path (x1, x2, x3, x4) with no closing alternating
-    4-cycle (x1, y, w, x4, x1), or None if every one closes."""
+    4-cycle (x1, y, w, x4, x1), or None if every one closes.
+
+    Whether a 3-path closes depends on (x1, x4) alone, so each x4 that a
+    3-path from x1 reaches is decided once, and the paths are walked only
+    for an x1 that has an x4 failing to close."""
     adj = (g.masks(BLUE), g.masks(RED))  # indexed by `color is RED`
     for x1 in range(g.n):
+        fails = 0
+        for x4 in bits(_three_path_ends(adj, x1)):
+            if not _closes(adj, x1, x4):
+                fails |= 1 << x4
+        if not fails:
+            continue
         for c1 in (0, 1):
             for x2 in bits(adj[c1][x1]):
                 for x3 in bits(adj[1 - c1][x2] & ~(1 << x1)):
-                    for x4 in bits(adj[c1][x3] & ~(1 << x1 | 1 << x2)):
-                        if not _closes(adj, x1, x4):
-                            return (x1, x2, x3, x4)
+                    ends = adj[c1][x3] & ~(1 << x2) & fails
+                    if ends:
+                        return (x1, x2, x3, (ends & -ends).bit_length() - 1)
     return None
+
+
+def _three_path_ends(adj: tuple[list[int], list[int]], x1: int) -> int:
+    """Mask of the last vertices x4 of the alternating 3-paths
+    (x1, x2, x3, x4), in O(n) mask operations."""
+    out = 0
+    for c1 in (0, 1):
+        first = adj[c1][x1]
+        mids = 0
+        for x2 in bits(first):
+            mids |= adj[1 - c1][x2]
+        for x3 in bits(mids & ~(1 << x1)):
+            # the x2 that join x1 to x3; when only one does, it is no x4
+            # through x3, since the path would meet it twice
+            via = first & adj[1 - c1][x3]
+            out |= adj[c1][x3] & ~(via if via & (via - 1) == 0 else 0)
+    return out & ~(1 << x1)
 
 
 def _closes(adj: tuple[list[int], list[int]], x1: int, x4: int) -> bool:

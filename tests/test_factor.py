@@ -7,9 +7,9 @@ from itertools import combinations
 import pytest
 
 import altcycles as ac
-from altcycles import BLUE, RED
+from altcycles import BLUE, RED, factor
 from altcycles.graph import OutOfRangeError
-from conftest import ring
+from conftest import complete_coloring, ring
 
 
 def brute_max_matching_size(edges, nodes):
@@ -154,3 +154,55 @@ def test_factor_without_two_cycles_none_without_a_factor():
     g = ac.empty(4)
     g.add_edge(0, 1, BLUE).add_edge(1, 2, RED).add_edge(2, 3, BLUE)
     assert ac.find_factor_without_two_cycles(g) is None
+
+
+def odd_component_graph(case: str):
+    """2-M-closed graphs whose blue or red edges leave a component of odd
+    order, so that neither a factor nor a solve needs a matching."""
+    if case == "odd-order":
+        return ac.gen_complete(7, 3)
+    if case == "no-red-edge-at-0":
+        return complete_coloring(6, "BBBBB" + "RBRBRRBRBR")
+    # even order, two blue triangles joined by a red perfect matching
+    g = ac.empty(6)
+    for a, b in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
+        g.add_edge(a, b, BLUE)
+    for a, b in [(0, 3), (1, 4), (2, 5)]:
+        g.add_edge(a, b, RED)
+    return g
+
+
+@pytest.mark.parametrize("case", ["odd-order", "no-red-edge-at-0", "blue-triangles"])
+def test_odd_component_decides_no_factor_before_the_matcher(monkeypatch, case):
+    g = odd_component_graph(case)
+    assert ac.is_2m_closed(g)
+    assert ac.oracle_factor(g) is None
+
+    def matcher_called(edges, n):
+        raise AssertionError("maximum_matching called")
+
+    monkeypatch.setattr(factor, "maximum_matching", matcher_called)
+    assert ac.find_alternating_cycle_factor(g) is None
+    assert ac.find_factor_without_two_cycles(g) is None
+    assert ac.solve_hamiltonian(g) == ac.NoFactor()
+
+
+@pytest.mark.parametrize("color", ["B", "R", "random"])
+def test_factor_existence_matches_oracle_on_closures(color):
+    """Factor existence against the exhaustive oracle on 2-M closures of
+    random graphs, n <= 10, odd orders included; both the screen's None and
+    the matcher's decide some of them."""
+    screened = matched = found = 0
+    for seed in range(150):
+        n = 2 + seed % 9
+        g = ac.closure_2m(ac.gen_random(n, seed, 0.1 + 0.3 * (seed % 4) / 3), seed, color)
+        fast = ac.find_alternating_cycle_factor(g)
+        assert (fast is None) == (ac.oracle_factor(g) is None), ac.serialize_text(g)
+        if fast is not None:
+            assert ac.validate_factor(g, fast)
+            found += 1
+        elif factor._odd_component(g, BLUE) or factor._odd_component(g, RED):
+            screened += 1
+        else:
+            matched += 1
+    assert screened and matched and found

@@ -17,6 +17,7 @@ from altcycles.graph import (
     OutOfRangeError,
     ParseError,
     induced_subgraph,
+    reachable,
 )
 
 
@@ -313,3 +314,14 @@ def test_serialize_deterministic():
     h = ac.empty(3)
     h.add_edge(0, 1, BLUE).add_edge(0, 2, BLUE).add_edge(0, 2, RED)
     assert ac.serialize_text(g) == ac.serialize_text(h)
+
+
+def test_reachable_in_one_color_or_both():
+    g = ac.empty(6)
+    g.add_edge(0, 1, BLUE).add_edge(1, 2, RED).add_edge(2, 3, BLUE).add_edge(3, 4, RED)
+    assert reachable(g, 0) == 0b11111
+    assert reachable(g, 0, avoid=0b100) == 0b11
+    assert reachable(g, 0, color=BLUE) == 0b11
+    assert reachable(g, 3, color=BLUE) == 0b1100
+    assert reachable(g, 1, color=RED) == 0b110
+    assert reachable(g, 5, color=RED) == 0b100000

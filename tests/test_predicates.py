@@ -105,6 +105,40 @@ def test_closed_alternating():
     assert ac.is_closed_alternating(h)
 
 
+def test_closes_runs_once_per_end_pair(monkeypatch):
+    calls = []
+    real = predicates._closes
+
+    def spy(adj, x1, x4):
+        calls.append((x1, x4))
+        return real(adj, x1, x4)
+
+    monkeypatch.setattr(predicates, "_closes", spy)
+    graphs = [ac.gen_complete(n, n) for n in (6, 12, 20)]
+    graphs += [ac.closure_2m(ac.gen_random(10, s, 0.3), s) for s in range(20)]
+    for g in graphs:
+        calls.clear()
+        closed_alternating_witness(g)
+        assert calls and len(calls) == len(set(calls))
+
+
+def test_three_path_ends_are_exact():
+    """`_three_path_ends` against the ends of every alternating 3-path: a
+    missing end would lose a witness, an extra one would walk the paths of
+    an x1 for nothing. `gen_random` puts both colors on some pairs, so some
+    3-paths would return to their x2, the case the lone-x2 rule drops."""
+    for seed in range(300):
+        g = ac.gen_random(2 + seed % 11, seed, 0.1 + 0.6 * (seed % 5) / 4)
+        adj = (g.masks(BLUE), g.masks(RED))
+        for x1 in range(g.n):
+            want = 0
+            for c1 in (0, 1):
+                for x2 in bits(adj[c1][x1]):
+                    for x3 in bits(adj[1 - c1][x2] & ~(1 << x1)):
+                        want |= adj[c1][x3] & ~(1 << x1 | 1 << x2)
+            assert predicates._three_path_ends(adj, x1) == want
+
+
 def test_exists_alternating_path_basic():
     g = path_graph(BLUE, RED, BLUE)
     p = ac.exists_alternating_path(g, 0, 3, BLUE, BLUE)

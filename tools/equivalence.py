@@ -18,7 +18,7 @@ the rule. A graph result is hashed as its text serialization.
 entries whose digests differ or that only one side has, with both sides'
 labels, and exits 1 if there is any.
 
-The corpus, 37,735 entries:
+The corpus, 39,210 entries:
 - planted seeds 0-5999 through `solve_from_factor`, in both cycle orders,
   and through `solve_hamiltonian`;
 - `merge_pair` both ways on the planted cycle pairs of seeds 0-1499;
@@ -33,7 +33,9 @@ The corpus, 37,735 entries:
   `solve_hamiltonian`;
 - 3000 graphs `closure_2m(gen_random(4 + s % 11, s, 0.3), s)`, likewise;
 - `gen_random(2 + s % 40, s, 0.05 + 0.5 * (s % 10) / 9)` for s 0-999,
-  through the full `two_m_violations` and `two_nm_violations` lists;
+  through the full `two_m_violations` and `two_nm_violations` lists and
+  `closed_alternating_witness`, and the `closure_2m(g, s)` of those with
+  n <= 20 through `closed_alternating_witness`;
 - `closure_2m(gen_random(16, s, 0.1), s)` for s 0-99, the closure
   benchmark's shape;
 - the 96 two-square colorings that once raised, in both cycle orders;
@@ -85,6 +87,9 @@ def entries(ac, fx):
     def two_nm(g, trace):
         return ac.two_nm_violations(g)
 
+    def closed_alternating(g, trace):
+        return ac.predicates.closed_alternating_witness(g)
+
     def closure(g, seed, trace):
         return ac.closure_2m(g, seed)
 
@@ -122,6 +127,9 @@ def entries(ac, fx):
         g = ac.gen_random(2 + s % 40, s, 0.05 + 0.5 * (s % 10) / 9)
         yield f"two-m {s}", two_m, (g,)
         yield f"two-nm {s}", two_nm, (g,)
+        yield f"closed-alternating {s}", closed_alternating, (g,)
+        if g.n <= 20:
+            yield f"closed-alternating closure {s}", closed_alternating, (ac.closure_2m(g, s),)
     for s in range(100):
         yield f"closure-2m {s}", closure, (ac.gen_random(16, s, 0.1), s)
     for first in (ac.BLUE, ac.RED):
