@@ -20,8 +20,7 @@ from .predicates import (
     TwoPath,
     closed_alternating_witness,
     color_connectivity_witness,
-    two_m_violations,
-    two_nm_violations,
+    open_two_paths,
 )
 
 EXIT_OK = 0
@@ -82,18 +81,14 @@ def export_dot(g: ColoredMultigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _first(violations: list[TwoPath]) -> TwoPath | None:
-    return violations[0] if violations else None
-
-
 def _two_path_witness(w: TwoPath) -> str:
     return f"witness 2path {w.x1} {w.x2} {w.x3}"
 
 
 # predicate name -> (witness of failure or None, witness line)
 _CHECKS = {
-    "2m-closed": (lambda g: _first(two_m_violations(g)), _two_path_witness),
-    "2nm-closed": (lambda g: _first(two_nm_violations(g)), _two_path_witness),
+    "2m-closed": (lambda g: next(open_two_paths(g, mono=True), None), _two_path_witness),
+    "2nm-closed": (lambda g: next(open_two_paths(g, mono=False), None), _two_path_witness),
     "closed-alternating": (
         closed_alternating_witness,
         lambda w: f"witness 3path {w[0]} {w[1]} {w[2]} {w[3]}",

@@ -177,26 +177,6 @@ def reachable(
     return seen
 
 
-def induced_subgraph(
-    g: ColoredMultigraph, vertices: list[int]
-) -> tuple[ColoredMultigraph, list[int]]:
-    """Subgraph on `vertices`, relabelled 0..k-1; returns (subgraph, old labels).
-    Raises ValueError on a repeated vertex."""
-    order = sorted(vertices)
-    index = {v: i for i, v in enumerate(order)}
-    if len(index) != len(order):
-        repeated = next(u for u, v in zip(order, order[1:]) if u == v)
-        raise ValueError(f"vertex {repeated} repeated")
-    g.check_vertices(*order)
-    sub = ColoredMultigraph(len(order))
-    for u in order:
-        for color in (BLUE, RED):
-            for v in bits(g.masks(color)[u]):
-                if v in index and u < v:
-                    sub.add_edge(index[u], index[v], color)
-    return sub, order
-
-
 def parse_text(text: str) -> ColoredMultigraph:
     """Parse the edge-list format.
 

@@ -339,6 +339,7 @@ def solve_hamiltonian(
 
     Pipeline: closure check, cycle factor, then `solve_from_factor`.
     """
+    # every open 2-path, though [0] is read: the benchmark hooks this name
     violations = two_m_violations(g)
     if violations:
         return NotTwoMClosed(violations[0])

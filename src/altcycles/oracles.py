@@ -1,56 +1,46 @@
 """Exhaustive ground-truth solvers for desk-scale instances (n <= ~12)."""
 from __future__ import annotations
 
-from .cycles import (
-    AltCycle,
-    cycle_from_vertex_sequence,
-    decode_cycles,
-)
-from .graph import (
-    BLUE,
-    RED,
-    Color,
-    ColoredMultigraph,
-    alternating,
-    bits,
-    induced_subgraph,
-)
+from .cycles import AltCycle, decode_cycles
+from .graph import BLUE, RED, Color, ColoredMultigraph, alternating, bits
 from .predicates import AltPath
 
 
 def oracle_hamiltonian(g: ColoredMultigraph) -> AltCycle | None:
-    """Exhaustive backtracking for an alternating Hamiltonian cycle.
+    """Exhaustive backtracking for an alternating Hamiltonian cycle."""
+    return _spanning_cycle(g, (1 << g.n) - 1)
+
+
+def _spanning_cycle(g: ColoredMultigraph, within: int) -> AltCycle | None:
+    """Exhaustive backtracking for an alternating cycle through exactly the
+    vertices of the mask `within`, starting at its lowest vertex.
 
     Alternation with two colors forces the color schedule from the first
     edge, so the search branches only on forced-color neighbors. An
-    alternating cycle has even length, hence odd n is immediately hopeless.
+    alternating cycle has even length, hence an odd count is immediately
+    hopeless.
     """
-    n = g.n
+    n = within.bit_count()
     if n < 2 or n % 2 != 0:
         return None
-    used = [False] * n
-    used[0] = True
-    seq = [0]
+    start = (within & -within).bit_length() - 1
+    seq = [start]
 
-    def dfs(v: int, need: Color, first: Color) -> AltCycle | None:
+    def dfs(v: int, need: Color, first: Color, free: int) -> AltCycle | None:
         if len(seq) == n:
-            if g.has_edge_color(v, 0, need):
+            if g.has_edge_color(v, start, need):
                 return AltCycle(tuple(seq), alternating(first, n))
             return None
-        for u in bits(g.masks(need)[v]):
-            if used[u]:
-                continue
-            used[u] = True
+        for u in bits(g.masks(need)[v] & free):
             seq.append(u)
-            found = dfs(u, need.other, first)
+            found = dfs(u, need.other, first, free ^ 1 << u)
             if found is not None:
                 return found
             seq.pop()
-            used[u] = False
         return None
 
     for first in (BLUE, RED):
-        found = dfs(0, first, first)
+        found = dfs(start, first, first, within ^ 1 << start)
         if found is not None:
             return found
     return None
@@ -138,12 +128,5 @@ def oracle_merge(
     """Exhaustive search for an alternating cycle whose vertex set is exactly
     V(c1) union V(c2)."""
     union = sorted(c1.vertex_set() | c2.vertex_set())
-    sub, labels = induced_subgraph(g, union)
-    found = oracle_hamiltonian(sub)
-    if found is None:
-        return None
-    verts = tuple(labels[v] for v in found.vertices)
-    merged = cycle_from_vertex_sequence(g, verts)
-    if merged is None:  # an induced subgraph keeps every edge of g it spans
-        raise RuntimeError("cycle of the induced subgraph is not a cycle of g")
-    return merged
+    g.check_vertices(*union)
+    return _spanning_cycle(g, sum(1 << v for v in union))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import pytest
 
@@ -89,6 +90,40 @@ def test_check_2nm(capsys, write_graph):
     assert code == 1 and "witness 2path 0 1 2" in out
     code, out, _ = run(capsys, "check", "--predicate", "2m-closed", path)
     assert code == 0
+
+
+def test_two_path_checks_stop_at_the_first_witness(capsys, write_graph):
+    """A 1,000-vertex star has up to about 500,000 open 2-paths; the
+    predicates and `check` read the first and keep none of the rest."""
+    n = 1000
+    blue, mixed = ac.empty(n), ac.empty(n)
+    for v in range(1, n):
+        blue.add_edge(0, v, BLUE)
+        mixed.add_edge(0, v, BLUE if v % 2 else RED)
+    paths = {"blue": write_graph(blue, "blue.txt"), "mixed": write_graph(mixed, "mixed.txt")}
+    cases = [
+        (lambda: ac.is_2m_closed(blue), False),
+        (lambda: ac.is_2nm_closed(mixed), False),
+        (lambda: ac.is_2nm_closed(blue), True),
+    ]
+    for star, predicate, code, out in (
+        ("blue", "2m-closed", 1, "false\nwitness 2path 1 0 2\n"),
+        ("blue", "2nm-closed", 0, "true\n"),
+        ("mixed", "2m-closed", 1, "false\nwitness 2path 1 0 3\n"),
+        ("mixed", "2nm-closed", 1, "false\nwitness 2path 1 0 2\n"),
+    ):
+        argv = ("check", "--predicate", predicate, paths[star])
+        cases.append((lambda argv=argv: run(capsys, *argv), (code, out, "")))
+    for call, expected in cases:
+        tracemalloc.start()
+        try:
+            got = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        # parsing the 10-KB file takes about 150 KB; every open 2-path, 30-60 MB
+        assert peak < 2**20
 
 
 def test_check_closed_alternating(capsys, write_graph):

@@ -16,7 +16,6 @@ from altcycles.graph import (
     LoopError,
     OutOfRangeError,
     ParseError,
-    induced_subgraph,
     reachable,
 )
 
@@ -83,24 +82,6 @@ def test_copy_and_eq():
     h.add_edge(1, 2, RED)
     assert g != h
     assert g != ac.empty(4)
-
-
-def test_induced_subgraph():
-    g = ac.empty(5)
-    g.add_edge(0, 3, BLUE).add_edge(3, 4, RED).add_edge(0, 1, BLUE)
-    sub, labels = induced_subgraph(g, [4, 0, 3])
-    assert labels == [0, 3, 4]
-    assert sub.n == 3
-    assert sub.has_edge_color(0, 1, BLUE)  # old (0, 3)
-    assert sub.has_edge_color(1, 2, RED)  # old (3, 4)
-    assert sub.edge_count() == 2
-    for outside in (5, -1):
-        with pytest.raises(OutOfRangeError, match=rf"^vertex {outside} outside 0\.\.4$"):
-            induced_subgraph(g, [0, outside])
-    with pytest.raises(ValueError, match=r"^vertex 3 repeated$"):
-        induced_subgraph(g, [0, 3, 3])
-    sub, labels = induced_subgraph(g, {3, 0})  # a set, as oracle_merge passes
-    assert (labels, sub.n, sub.edge_count()) == ([0, 3], 2, 1)
 
 
 def test_parse_text():

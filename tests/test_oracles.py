@@ -7,7 +7,7 @@ import pytest
 import altcycles as ac
 from altcycles import BLUE, RED
 from altcycles.cycles import cycle_from_vertex_sequence
-from altcycles.graph import OutOfRangeError, induced_subgraph
+from altcycles.graph import OutOfRangeError
 from conftest import ring
 
 
@@ -91,3 +91,8 @@ def test_oracle_merge_covers_both_cycles():
     d1 = ring(h, 0, 2)
     d2 = ring(h, 4, 2)
     assert ac.oracle_merge(h, d1, d2) is None
+    # the union is range-checked in ascending order, so the lowest offender is named
+    far = ring(ac.empty(12), 8, 2)
+    for c, named in ((far, 8), (ac.AltCycle((-1, 9), (BLUE, RED)), -1)):
+        with pytest.raises(OutOfRangeError, match=rf"^vertex {named} outside 0\.\.7$"):
+            ac.oracle_merge(g, c1, c)

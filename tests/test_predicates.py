@@ -14,6 +14,7 @@ from altcycles.predicates import (
     TwoPath,
     closed_alternating_witness,
     color_connectivity_witness,
+    open_two_paths,
 )
 from conftest import not_color_connected_graph, ring, small_corpus
 
@@ -475,8 +476,14 @@ def test_mask_scanners_match_set_reference():
         g = ac.gen_random(2 + seed % 19, seed, 0.05 + 0.55 * (seed % 12) / 11)
         adj = set_adjacency(g)
         assert g.edges() == ref_edges(g)
-        assert ac.two_m_violations(g) == ref_violations(adj, mono=True)
-        assert ac.two_nm_violations(g) == ref_violations(adj, mono=False)
+        for mono, scan, closed in (
+            (True, ac.two_m_violations, ac.is_2m_closed),
+            (False, ac.two_nm_violations, ac.is_2nm_closed),
+        ):
+            ref = ref_violations(adj, mono)
+            assert scan(g) == ref
+            assert next(open_two_paths(g, mono), None) == (ref[0] if ref else None)
+            assert closed(g) == (not ref)
         assert closed_alternating_witness(g) == ref_closed_alternating_witness(adj)
         if seed % 13 < 2:
             closures += 1

@@ -18,10 +18,11 @@ the rule. A graph result is hashed as its text serialization.
 entries whose digests differ or that only one side has, with both sides'
 labels, and exits 1 if there is any.
 
-The corpus, 39,210 entries:
+The corpus, 48,148 entries:
 - planted seeds 0-5999 through `solve_from_factor`, in both cycle orders,
   and through `solve_hamiltonian`;
-- `merge_pair` both ways on the planted cycle pairs of seeds 0-1499;
+- `merge_pair` and `oracle_merge` both ways on the planted cycle pairs of
+  seeds 0-1499;
 - the benchmark's solve-corpus pools of seeds 1-3, through
   `solve_hamiltonian` and `find_alternating_cycle_factor`, and those with
   n <= 10 through `oracle_factor(g, allow_two_cycles=False)`; its
@@ -31,11 +32,14 @@ The corpus, 39,210 entries:
   through `color_connectivity_witness`;
 - `gen_complete` for even n 4-80 and seeds 0-2, through
   `solve_hamiltonian`;
-- 3000 graphs `closure_2m(gen_random(4 + s % 11, s, 0.3), s)`, likewise;
+- 3000 graphs `closure_2m(gen_random(4 + s % 11, s, 0.3), s)`, likewise,
+  and `oracle_merge` both ways on the cycle pairs of the
+  `find_alternating_cycle_factor` of those with s < 1500;
 - `gen_random(2 + s % 40, s, 0.05 + 0.5 * (s % 10) / 9)` for s 0-999,
-  through the full `two_m_violations` and `two_nm_violations` lists and
-  `closed_alternating_witness`, and the `closure_2m(g, s)` of those with
-  n <= 20 through `closed_alternating_witness`;
+  through the full `two_m_violations` and `two_nm_violations` lists,
+  `is_2m_closed`, `is_2nm_closed` and `closed_alternating_witness`, and
+  the `closure_2m(g, s)` of those with n <= 20 through
+  `closed_alternating_witness`;
 - `closure_2m(gen_random(16, s, 0.1), s)` for s 0-99, the closure
   benchmark's shape;
 - the 96 two-square colorings that once raised, in both cycle orders;
@@ -72,6 +76,9 @@ def entries(ac, fx):
     def merge(g, c1, c2, trace):
         return ac.merge_pair(g, c1, c2)
 
+    def oracle_merge(g, c1, c2, trace):
+        return ac.oracle_merge(g, c1, c2)
+
     def witness(g, trace):
         return ac.predicates.color_connectivity_witness(g)
 
@@ -87,6 +94,12 @@ def entries(ac, fx):
     def two_nm(g, trace):
         return ac.two_nm_violations(g)
 
+    def is_2m(g, trace):
+        return ac.is_2m_closed(g)
+
+    def is_2nm(g, trace):
+        return ac.is_2nm_closed(g)
+
     def closed_alternating(g, trace):
         return ac.predicates.closed_alternating_witness(g)
 
@@ -100,10 +113,9 @@ def entries(ac, fx):
         yield f"planted {seed} reversed", from_factor, (g, cycles[::-1])
         yield f"planted {seed} solve", solve, (g,)
         if seed < 1500:
-            for i, c1 in enumerate(cycles):
-                for j, c2 in enumerate(cycles):
-                    if i != j:
-                        yield f"merge-pair {seed} {i} {j}", merge, (g, c1, c2)
+            for i, j, c1, c2 in _ordered_pairs(cycles):
+                yield f"merge-pair {seed} {i} {j}", merge, (g, c1, c2)
+                yield f"oracle-merge {seed} {i} {j}", oracle_merge, (g, c1, c2)
     for seed in (1, 2, 3):
         for k, g in enumerate(fx.solve_corpus_graphs(seed)):
             yield f"solve-corpus {seed} {k}", solve, (g,)
@@ -122,11 +134,17 @@ def entries(ac, fx):
         for seed in range(3):
             yield f"complete {n} {seed}", solve, (ac.gen_complete(n, seed),)
     for s in range(3000):
-        yield f"closure {s}", solve, (ac.closure_2m(ac.gen_random(4 + s % 11, s, 0.3), s),)
+        g = ac.closure_2m(ac.gen_random(4 + s % 11, s, 0.3), s)
+        yield f"closure {s}", solve, (g,)
+        if s < 1500:
+            for i, j, c1, c2 in _ordered_pairs(_cycles(ac.find_alternating_cycle_factor(g)) or ()):
+                yield f"oracle-merge closure {s} {i} {j}", oracle_merge, (g, c1, c2)
     for s in range(1000):
         g = ac.gen_random(2 + s % 40, s, 0.05 + 0.5 * (s % 10) / 9)
         yield f"two-m {s}", two_m, (g,)
         yield f"two-nm {s}", two_nm, (g,)
+        yield f"is-2m-closed {s}", is_2m, (g,)
+        yield f"is-2nm-closed {s}", is_2nm, (g,)
         yield f"closed-alternating {s}", closed_alternating, (g,)
         if g.n <= 20:
             yield f"closed-alternating closure {s}", closed_alternating, (ac.closure_2m(g, s),)
@@ -140,6 +158,11 @@ def entries(ac, fx):
     for name in ("G8", "G8b", "G12"):
         g, cycles = getattr(fx, name)()
         yield f"fixture {name}", from_factor, (g, cycles)
+
+
+def _ordered_pairs(cycles):
+    """(i, j, cycles[i], cycles[j]) for every i != j."""
+    return [(i, j, a, b) for i, a in enumerate(cycles) for j, b in enumerate(cycles) if i != j]
 
 
 def _cycles(factor):
