@@ -104,13 +104,7 @@ def decode_cycles(partner: Mapping[Color, Sequence[int]], n: int) -> tuple[AltCy
 def validate_cycle(g: ColoredMultigraph, cycle: AltCycle) -> bool:
     """Check all AltCycle invariants against the host graph; a vertex
     outside 0..n-1 makes the cycle invalid, not an error."""
-    if not cycle.well_formed() or not 0 <= min(cycle.vertices) <= max(cycle.vertices) < g.n:
-        return False
-    m = len(cycle)
-    return all(
-        g.has_edge_color(cycle.vertices[k], cycle.vertices[(k + 1) % m], cycle.colors[k])
-        for k in range(m)
-    )
+    return cycle.well_formed() and g.has_walk(cycle.vertices + cycle.vertices[:1], cycle.colors)
 
 
 def validate_factor(g: ColoredMultigraph, cycles: Iterable[AltCycle]) -> bool:

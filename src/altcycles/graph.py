@@ -8,7 +8,7 @@ edge of that color.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from enum import Enum
 
 
@@ -124,6 +124,16 @@ class ColoredMultigraph:
         self.check_vertices(u, v)
         blue, red = self._adj
         return (blue[u] | red[u]) >> v & 1 == 1
+
+    def has_walk(self, vertices: Sequence[int], colors: Sequence[Color]) -> bool:
+        """Whether every vertex is in 0..n-1, `colors` has one color per
+        consecutive pair of `vertices` and each pair has an edge of its
+        color; never raises. The replay of any cycle, path or 2-path."""
+        if len(colors) != len(vertices) - 1 or min(vertices) < 0 or max(vertices) >= self.n:
+            return False
+        return all(
+            self._adj[c is RED][u] >> v & 1 for u, v, c in zip(vertices, vertices[1:], colors)
+        )
 
     def edges(self) -> list[tuple[int, int, Color]]:
         """All edges as (u, v, color), u < v, sorted; Blue before Red."""

@@ -51,38 +51,31 @@ def oracle_factor(
 ) -> tuple[AltCycle, ...] | None:
     """Exhaustive alternating-cycle-factor search.
 
-    Backtracks over the choice of one blue and one red partner per vertex;
-    independent of the two per-color perfect matchings that
-    find_alternating_cycle_factor computes.
+    Backtracks over the choice of one blue and one red partner per vertex,
+    one recursion frame per chosen pair; independent of the two per-color
+    perfect matchings that find_alternating_cycle_factor computes.
     """
     n = g.n
-    partner: dict[Color, list[int | None]] = {
-        BLUE: [None] * n,
-        RED: [None] * n,
-    }
+    partner: dict[Color, list[int | None]] = {BLUE: [None] * n, RED: [None] * n}
 
-    slots = [(v, c) for v in range(n) for c in (BLUE, RED)]
-
-    def fill(k: int) -> bool:
-        if k == len(slots):
+    def fill(v: int, color: Color) -> bool:
+        # the first empty slot from (v, color) on, vertex by vertex, blue first
+        while v < n and partner[color][v] is not None:
+            v, color = (v, RED) if color is BLUE else (v + 1, BLUE)
+        if v == n:
             return True
-        v, color = slots[k]
-        if partner[color][v] is not None:
-            return fill(k + 1)
         for u in bits(g.masks(color)[v]):
             if partner[color][u] is not None:
                 continue
             if not allow_two_cycles and partner[color.other][v] == u:
                 continue
-            partner[color][v] = u
-            partner[color][u] = v
-            if fill(k + 1):
+            partner[color][v], partner[color][u] = u, v
+            if fill(v, color):
                 return True
-            partner[color][v] = None
-            partner[color][u] = None
+            partner[color][v] = partner[color][u] = None
         return False
 
-    if not fill(0):
+    if not fill(0, BLUE):
         return None
     return decode_cycles(partner, n)
 
@@ -113,11 +106,8 @@ def oracle_alt_path(
             on.remove(u)
 
     for seq in paths(x):
-        m = len(seq) - 1
-        cols = alternating(first, m)
-        if cols[-1] is not last:
-            continue
-        if all(g.has_edge_color(seq[k], seq[k + 1], cols[k]) for k in range(m)):
+        cols = alternating(first, len(seq) - 1)
+        if cols[-1] is last and g.has_walk(seq, cols):
             return AltPath(tuple(seq), cols)
     return None
 

@@ -21,10 +21,8 @@ class TwoPath(NamedTuple):
     c2: Color
 
     def holds_in(self, g: ColoredMultigraph) -> bool:
-        return (
-            len({self.x1, self.x2, self.x3}) == 3
-            and g.has_edge_color(self.x1, self.x2, self.c1)
-            and g.has_edge_color(self.x2, self.x3, self.c2)
+        return len({self.x1, self.x2, self.x3}) == 3 and g.has_walk(
+            (self.x1, self.x2, self.x3), (self.c1, self.c2)
         )
 
     def endpoint_edge_missing(self, g: ColoredMultigraph) -> bool:
@@ -47,10 +45,7 @@ class AltPath:
         return all(a != b for a, b in zip(self.colors, self.colors[1:]))
 
     def holds_in(self, g: ColoredMultigraph) -> bool:
-        return self.well_formed() and all(
-            g.has_edge_color(u, v, c)
-            for u, v, c in zip(self.vertices, self.vertices[1:], self.colors)
-        )
+        return self.well_formed() and g.has_walk(self.vertices, self.colors)
 
 
 def open_two_paths(g: ColoredMultigraph, mono: bool) -> Iterator[TwoPath]:

@@ -41,6 +41,13 @@ def ring_graph(half=3):
     return g
 
 
+def both_colored_ring(n):
+    g = ac.empty(n)
+    for v in range(n):
+        g.add_edge(v, (v + 1) % n, BLUE).add_edge(v, (v + 1) % n, RED)
+    return g
+
+
 def test_check_true(capsys, write_graph):
     path = write_graph(ring_graph())
     code, out, _ = run(capsys, "check", "--predicate", "color-connected", path)
@@ -253,12 +260,20 @@ def test_factor_min_cycle_len_takes_only_2_or_4(capsys, write_graph):
 
 @pytest.mark.parametrize("argv", [["oracle", "hamiltonian"], ["oracle", "factor"]])
 def test_deep_exhaustive_search_exits_70(capsys, write_graph, argv):
-    # the oracles recurse once per path vertex, and round a 1200-vertex
-    # alternating ring that is deeper than Python's recursion limit
-    code, out, err = run(capsys, *argv, write_graph(ring_graph(600)))
-    assert code == 70
-    assert out == ""
-    assert err == "error: exhaustive search exceeded the recursion limit\n"
+    # the oracles recurse once per vertex, and 1200-vertex rings, alternating
+    # or both-colored, are deeper than Python's recursion limit
+    for g in (ring_graph(600), both_colored_ring(1200)):
+        code, out, err = run(capsys, *argv, write_graph(g))
+        assert code == 70
+        assert out == ""
+        assert err == "error: exhaustive search exceeded the recursion limit\n"
+
+
+def test_oracle_factor_recurses_once_per_chosen_pair(capsys, write_graph):
+    # 600 frames, one per partner pair; one frame per slot (1,200) was too deep
+    code, out, err = run(capsys, "oracle", "factor", write_graph(both_colored_ring(600)))
+    assert (code, err) == (0, "")
+    assert out == "".join(f"cycle {v} {v + 1} : B R\n" for v in range(0, 600, 2))
 
 
 def test_factor_min_cycle_len_takes_a_factor_without_two_cycles(capsys, write_graph):
@@ -280,10 +295,8 @@ def test_factor_min_cycle_len_falls_back_to_one_matching_after_the_other(
         raise AssertionError("oracle_factor ran")
 
     monkeypatch.setattr("altcycles.oracles.oracle_factor", exhaustive)
-    g = ac.empty(1200)
-    for v in range(1200):
-        g.add_edge(v, (v + 1) % 1200, BLUE).add_edge(v, (v + 1) % 1200, RED)
-    code, out, _ = run(capsys, "factor", "--min-cycle-len", "4", write_graph(g))
+    path = write_graph(both_colored_ring(1200))
+    code, out, _ = run(capsys, "factor", "--min-cycle-len", "4", path)
     assert code == 0
     (line,) = out.splitlines()
     verts = line.split(" : ")[0].split()

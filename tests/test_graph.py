@@ -68,6 +68,24 @@ def test_check_vertices_names_the_first_offender():
             g.check_vertices(*vertices)
 
 
+def test_has_walk_is_total():
+    g = ac.empty(4)
+    g.add_edge(0, 1, BLUE).add_edge(1, 2, RED).add_edge(2, 3, BLUE)
+    assert g.has_walk((0, 1, 2, 3), (BLUE, RED, BLUE))
+    assert g.has_walk((2, 1, 0), (RED, BLUE))
+    assert g.has_walk((3,), ())
+    assert not g.has_walk((0, 1, 2), (BLUE, BLUE))  # wrong color
+    assert not g.has_walk((0, 2), (BLUE,))  # missing edge
+    assert not g.has_walk((1, 1), (BLUE,))  # a repeated vertex is a loop
+    for bad in (-1, 4):  # outside 0..3: False, never OutOfRangeError
+        assert not g.has_walk((0, bad), (BLUE,))
+        assert not g.has_walk((bad, 0), (RED,))
+    # one color per consecutive pair, no more, no fewer
+    assert not g.has_walk((0, 1, 2), (BLUE,))
+    assert not g.has_walk((0, 1), (BLUE, RED))
+    assert not g.has_walk((), ())
+
+
 def test_edges_sorted():
     g = ac.empty(3)
     g.add_edge(2, 1, RED).add_edge(1, 0, BLUE).add_edge(1, 2, BLUE)

@@ -57,6 +57,8 @@ def test_two_path_is_a_read_only_record():
     assert w.holds_in(g) and w.endpoint_edge_missing(g)
     assert not TwoPath(0, 1, 2, RED, RED).holds_in(g)
     assert not TwoPath(0, 1, 0, BLUE, BLUE).holds_in(g)
+    # a vertex outside g makes the 2-path not hold, not an error
+    assert not TwoPath(0, 1, 9, BLUE, BLUE).holds_in(path_graph(BLUE, BLUE, BLUE))
     g.add_edge(0, 2, RED)
     assert w.holds_in(g) and not w.endpoint_edge_missing(g)
 
@@ -361,6 +363,11 @@ def test_alt_path_well_formed():
     assert not AltPath((0, 1, 0), (BLUE, RED)).well_formed()
     assert not AltPath((0,), ()).well_formed()
     assert not AltPath((0, 1, 2), (BLUE,)).well_formed()  # one color short
+    g = path_graph(BLUE, RED, BLUE)
+    assert AltPath((0, 1, 2, 3), (BLUE, RED, BLUE)).holds_in(g)
+    assert not AltPath((0, 1, 2, 3), (BLUE, RED, RED)).holds_in(g)
+    # a vertex outside g makes the path not hold, not an error
+    assert not AltPath((0, 9), (BLUE,)).holds_in(g)
 
 
 # Set-based references: the implementations the bit-mask core replaced.

@@ -10,22 +10,21 @@ only through `conftest.bench_module`). It writes one tab-separated line per
 entry: the entry's id, a short outcome label (the result's type name, or
 the error's type and message) and a sha256 over the call's input, its
 normalized result, its trace and any `MergeError`'s type, message and
-offenders. `Merged.rule` is left out of the result, so checkouts from
-before verdicts named their rule still compare; the solver traces carry
-the rule. A graph result is hashed as its text serialization.
+offenders. A graph result is hashed as its text serialization.
 
 `compare` digests both checkouts, in two processes at once, lists the
 entries whose digests differ or that only one side has, with both sides'
 labels, and exits 1 if there is any.
 
-The corpus, 48,148 entries:
+The corpus, 49,613 entries:
 - planted seeds 0-5999 through `solve_from_factor`, in both cycle orders,
   and through `solve_hamiltonian`;
 - `merge_pair` and `oracle_merge` both ways on the planted cycle pairs of
   seeds 0-1499;
 - the benchmark's solve-corpus pools of seeds 1-3, through
   `solve_hamiltonian` and `find_alternating_cycle_factor`, and those with
-  n <= 10 through `oracle_factor(g, allow_two_cycles=False)`; its
+  n <= 10 through `oracle_factor(g)` and
+  `oracle_factor(g, allow_two_cycles=False)`; its
   color-connected pools of seeds 1-3, through `color_connectivity_witness`;
 - `gen_counterexample(k1, k2)` for 2 <= k1 <= k2 <= 5 and for
   6 <= k1 <= k2 <= 8, and `gen_random(13 + s % 8, s, 0.3)` for s 0-19,
@@ -83,10 +82,10 @@ def entries(ac, fx):
         return ac.predicates.color_connectivity_witness(g)
 
     def factor(g, trace):
-        return _cycles(ac.find_alternating_cycle_factor(g))
+        return ac.find_alternating_cycle_factor(g)
 
-    def oracle_factor(g, trace):
-        return _cycles(ac.oracle_factor(g, allow_two_cycles=False))
+    def oracle_factor(g, allow_two_cycles, trace):
+        return ac.oracle_factor(g, allow_two_cycles=allow_two_cycles)
 
     def two_m(g, trace):
         return ac.two_m_violations(g)
@@ -121,7 +120,8 @@ def entries(ac, fx):
             yield f"solve-corpus {seed} {k}", solve, (g,)
             yield f"factor {seed} {k}", factor, (g,)
             if g.n <= 10:
-                yield f"oracle-factor {seed} {k}", oracle_factor, (g,)
+                yield f"oracle-factor {seed} {k}", oracle_factor, (g, False)
+                yield f"oracle-factor 2-cycles {seed} {k}", oracle_factor, (g, True)
         for k, g in enumerate(fx.color_connected_graphs(seed)):
             yield f"color-connected {seed} {k}", witness, (g,)
     for lo, hi in ((2, 5), (6, 8)):
@@ -137,7 +137,7 @@ def entries(ac, fx):
         g = ac.closure_2m(ac.gen_random(4 + s % 11, s, 0.3), s)
         yield f"closure {s}", solve, (g,)
         if s < 1500:
-            for i, j, c1, c2 in _ordered_pairs(_cycles(ac.find_alternating_cycle_factor(g)) or ()):
+            for i, j, c1, c2 in _ordered_pairs(ac.find_alternating_cycle_factor(g) or ()):
                 yield f"oracle-merge closure {s} {i} {j}", oracle_merge, (g, c1, c2)
     for s in range(1000):
         g = ac.gen_random(2 + s % 40, s, 0.05 + 0.5 * (s % 10) / 9)
@@ -165,12 +165,6 @@ def _ordered_pairs(cycles):
     return [(i, j, a, b) for i, a in enumerate(cycles) for j, b in enumerate(cycles) if i != j]
 
 
-def _cycles(factor):
-    """A factor as a tuple of cycles; older checkouts return a `CycleFactor`,
-    which iterates over its cycles."""
-    return None if factor is None else tuple(factor)
-
-
 def digest(root: Path) -> list[tuple[str, str, str]]:
     """(id, outcome label, sha256) per corpus entry."""
     ac, fx = _load(root)
@@ -180,9 +174,7 @@ def digest(root: Path) -> list[tuple[str, str, str]]:
         try:
             result, error = fn(*args, trace), None
             label = type(result).__name__
-            if isinstance(result, ac.Merged):  # leave out `rule`
-                result = ("Merged", result.cycle)
-            elif isinstance(result, ac.ColoredMultigraph):
+            if isinstance(result, ac.ColoredMultigraph):
                 result = ac.serialize_text(result)
         except ac.merge.MergeError as exc:
             result = None
