@@ -47,8 +47,7 @@ def closure_2m(
 
     `color` picks the added edge color: 'B', 'R', or 'random' (seed-derived).
     """
-    if color not in ("B", "R", "random"):
-        raise ValueError(f"bad color policy {color!r}")
+    fixed = None if color == "random" else Color.from_letter(color)
     rng = random.Random(seed)
     out = g.copy()
     while True:
@@ -58,11 +57,7 @@ def closure_2m(
         if not violations:
             return out
         v = violations[0]
-        if color == "random":
-            c = BLUE if rng.getrandbits(1) else RED
-        else:
-            c = Color.from_letter(color)
-        out.add_edge(v.x1, v.x3, c)
+        out.add_edge(v.x1, v.x3, fixed or (BLUE if rng.getrandbits(1) else RED))
 
 
 def counterexample_cycles(k1: int, k2: int) -> tuple[AltCycle, AltCycle]:

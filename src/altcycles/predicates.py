@@ -26,7 +26,7 @@ class TwoPath(NamedTuple):
         )
 
     def endpoint_edge_missing(self, g: ColoredMultigraph) -> bool:
-        return not g.has_edge_any(self.x1, self.x3)
+        return not any(g.has_walk((self.x1, self.x3), (c,)) for c in Color)
 
 
 @dataclass(frozen=True)

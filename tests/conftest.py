@@ -11,13 +11,13 @@ from pathlib import Path
 import altcycles as ac
 from altcycles import BLUE, RED, AltCycle, Color, ColoredMultigraph
 from altcycles.cycles import cycle_from_vertex_sequence
-from altcycles.graph import bits
+from altcycles.graph import alternating, bits
 
 
 def ring(g: ColoredMultigraph, offset: int, half: int, first=BLUE) -> AltCycle:
     """Add an alternating cycle on 2*half consecutive vertices and return it."""
     n = 2 * half
-    colors = tuple(first if i % 2 == 0 else first.other for i in range(n))
+    colors = alternating(first, n)
     for i in range(n):
         g.add_edge(offset + i, offset + (i + 1) % n, colors[i])
     return AltCycle(tuple(range(offset, offset + n)), colors)

@@ -10,26 +10,14 @@ import pytest
 
 import altcycles as ac
 from altcycles import BLUE, RED, HamiltonianCycle, NotColorConnected
-from conftest import assert_no_alternating_path, not_color_connected_graph
+from conftest import assert_no_alternating_path, not_color_connected_graph, small_corpus
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    """≥ 500 deterministic 2-M-closed graphs with 4 <= n <= 10, half complete
+    """500 deterministic 2-M-closed graphs with 4 <= n <= 10, half complete
     colorings and half closed-up sparse graphs, each solved once."""
-    graphs = []
-    seed = 0
-    while len(graphs) < 500:
-        for n in range(4, 11):
-            if len(graphs) >= 500:
-                break
-            if seed % 2 == 0:
-                g = ac.gen_complete(n, seed)
-            else:
-                g = ac.closure_2m(ac.gen_random(n, seed, 0.35), seed)
-            graphs.append((g, ac.solve_hamiltonian(g)))
-            seed += 1
-    return graphs
+    return [(g, ac.solve_hamiltonian(g)) for g in small_corpus(500, range(4, 11))]
 
 
 def test_criterion_1_equivalence(corpus):

@@ -54,8 +54,10 @@ def test_closure_2m_fixed_color_policy():
     assert closed.has_edge_color(0, 2, RED)
     closed_b = ac.closure_2m(g, color="B")
     assert closed_b.has_edge_color(0, 2, BLUE)
-    with pytest.raises(ValueError):
-        ac.closure_2m(g, color="purple")
+    # checked before the loop: the empty graph is already closed
+    for h in (g, ac.empty(3)):
+        with pytest.raises(ValueError):
+            ac.closure_2m(h, color="purple")
 
 
 def test_closure_2m_deterministic():

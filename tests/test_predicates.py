@@ -59,6 +59,9 @@ def test_two_path_is_a_read_only_record():
     assert not TwoPath(0, 1, 0, BLUE, BLUE).holds_in(g)
     # a vertex outside g makes the 2-path not hold, not an error
     assert not TwoPath(0, 1, 9, BLUE, BLUE).holds_in(path_graph(BLUE, BLUE, BLUE))
+    far, empty = TwoPath(0, 1, 9, BLUE, BLUE), ac.empty(4)
+    assert far.endpoint_edge_missing(empty)
+    assert not (far.holds_in(empty) and far.endpoint_edge_missing(empty))
     g.add_edge(0, 2, RED)
     assert w.holds_in(g) and not w.endpoint_edge_missing(g)
 
