@@ -11,9 +11,9 @@ from .factor import find_alternating_cycle_factor, find_factor_without_two_cycle
 from .graph import BLUE, MAX_VERTICES, ColoredMultigraph, ParseError, parse_text, serialize_text
 from .merge import (
     HamiltonianCycle,
-    MergeError,
     NoFactor,
     NotColorConnected,
+    StructureViolation,
     solve_hamiltonian,
 )
 from .predicates import (
@@ -139,7 +139,7 @@ def _cmd_solve(args) -> int:
 
 
 def _print_cycles(cycles: tuple[AltCycle, ...] | None) -> int:
-    if cycles is None:
+    if not cycles:
         print("none")
         return EXIT_FALSE
     for cycle in cycles:
@@ -254,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     except generate.ConstructionFailed as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_FALSE
-    except MergeError as exc:  # the solver broke one of its own guarantees
+    except StructureViolation as exc:  # the solver broke one of its own guarantees
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOFTWARE
     except RecursionError:  # the recursive oracles on a long search path

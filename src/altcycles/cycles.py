@@ -54,18 +54,6 @@ class AltCycle:
             self.vertices[k:] + self.vertices[:k], self.colors[k:] + self.colors[:k]
         )
 
-    def canonical(self) -> AltCycle:
-        """Smallest-vertex-first, lexicographically smallest form; for
-        equality in tests only."""
-        best = None
-        for base in (self, self.reverse()):
-            k = base.vertices.index(min(base.vertices))
-            cand = base.rotate(k)
-            key = (cand.vertices, tuple(c.value for c in cand.colors))
-            if best is None or key < best[0]:
-                best = (key, cand)
-        return best[1]
-
     def well_formed(self) -> bool:
         """Structural invariants not involving a host graph."""
         m = len(self.vertices)

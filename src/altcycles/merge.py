@@ -31,11 +31,7 @@ from .oracles import oracle_merge  # noqa: F401
 from .predicates import TwoPath, two_m_violations
 
 
-class MergeError(Exception):
-    pass
-
-
-class StructureViolation(MergeError):
+class StructureViolation(Exception):
     """A structural guarantee of the merge layer fails; signals a
     non-closed input or a missed merge. Carries the offending nodes."""
 
@@ -380,37 +376,36 @@ def solve_from_factor(
             if trace is not None:
                 trace.extend(_trace_lines(outcome))
             if isinstance(outcome, Merged):
+                used, merged = (i, j), outcome.cycle
                 break
             verdicts[(i, j)] = outcome
-        if isinstance(outcome, Merged):
-            cycles = [c for k, c in enumerate(cycles) if k not in (i, j)] + [outcome.cycle]
-            continue
-        size = len(cycles)
-        arcs = build_domination_digraph(verdicts)
-        triangle = next(
-            ((i, j, k) for i, j in sorted(arcs) for k in range(size)
-             if (j, k) in arcs and (k, i) in arcs),
-            None,
-        )
-        if triangle is not None:
-            i, j, k = triangle
+        else:
+            size = len(cycles)
+            arcs = build_domination_digraph(verdicts)
+            triangle = next(
+                ((i, j, k) for i, j in sorted(arcs) for k in range(size)
+                 if (j, k) in arcs and (k, i) in arcs),
+                None,
+            )
+            if triangle is None:
+                # The certificate's walk argument needs every other cycle
+                # dominated in one color. A triangle needs no such check: two
+                # consecutive arcs of a directed 3-cycle share a color, and its
+                # merged cycle is validated.
+                for src, source_cycle in enumerate(cycles):
+                    outs = [c for (s, _t), c in arcs.items() if s == src]
+                    if len(outs) == size - 1:
+                        if len(set(outs)) > 1:
+                            raise StructureViolation("out-arcs of one cycle differ in color", (src,))
+                        outside = min(set(range(g.n)) - source_cycle.vertex_set())
+                        return _not_color_connected(source_cycle, outside, outs[0])
+                raise StructureViolation("no source of full out-degree", ())
+            used = i, j, k = triangle
             colors = (arcs[i, j], arcs[j, k], arcs[k, i])
             merged = merge_domination_triangle(g, cycles[i], cycles[j], cycles[k], colors)
             if trace is not None:
                 trace.append(f"merge triangle {i} {j} {k}")
-            cycles = [c for t, c in enumerate(cycles) if t not in (i, j, k)] + [merged]
-            continue
-        # The certificate's walk argument needs every other cycle dominated in
-        # one color. A triangle needs no such check: two consecutive arcs of a
-        # directed 3-cycle share a color, and its merged cycle is validated.
-        for src, source_cycle in enumerate(cycles):
-            outs = [c for (s, _t), c in arcs.items() if s == src]
-            if len(outs) == size - 1:
-                if len(set(outs)) > 1:
-                    raise StructureViolation("out-arcs of one cycle differ in color", (src,))
-                outside = min(set(range(g.n)) - source_cycle.vertex_set())
-                return _not_color_connected(source_cycle, outside, outs[0])
-        raise StructureViolation("no source of full out-degree", ())
+        cycles = [c for t, c in enumerate(cycles) if t not in used] + [merged]
     cycle = cycles[0]
     if not validate_cycle(g, cycle) or sorted(cycle.vertices) != list(range(g.n)):
         raise StructureViolation("merged cycle is not a Hamiltonian cycle of g", (cycle,))

@@ -8,6 +8,7 @@ import pytest
 import altcycles as ac
 from altcycles import BLUE, RED
 from altcycles.cli import export_dot, main
+from altcycles.generate import ConstructionFailed
 from altcycles.graph import MAX_VERTICES
 from conftest import (
     G8b,
@@ -234,10 +235,11 @@ def test_factor(capsys, write_graph):
 
 
 def test_factor_none(capsys, write_graph):
-    g = ac.empty(2)
-    g.add_edge(0, 1, BLUE)
-    code, out, _ = run(capsys, "factor", write_graph(g))
-    assert code == 1 and out.strip() == "none"
+    # with no vertices there is no factor either, as `solve` says (no-factor)
+    for g in (ac.empty(2).add_edge(0, 1, BLUE), ac.empty(0)):
+        for argv in (["factor"], ["factor", "--min-cycle-len", "4"], ["oracle", "factor"]):
+            code, out, _ = run(capsys, *argv, write_graph(g))
+            assert code == 1 and out == "none\n"
 
 
 def test_factor_min_cycle_len(capsys, write_graph):
@@ -362,6 +364,15 @@ def test_generate_rejects_out_of_range_sizes(capsys, argv, message):
     code, out, err = run(capsys, "generate", "--family", *argv)
     assert code == 64 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_generate_construction_failure_exits_1(capsys, monkeypatch):
+    def failing(k1, k2):
+        raise ConstructionFailed("x")
+
+    monkeypatch.setattr("altcycles.generate.gen_counterexample", failing)
+    code, out, err = run(capsys, "generate", "--family", "counterexample")
+    assert (code, out, err) == (1, "", "construction failed: x\n")
 
 
 def test_oracle_commands(capsys, write_graph):

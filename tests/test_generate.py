@@ -152,12 +152,19 @@ def test_block_lemmas_against_exhaustive_search():
     assert min(verdicts.values()) > 500 and cut_cases > 300
 
 
-def test_counterexample_self_check_rejects_a_red_edge_inside_a_block(monkeypatch):
-    def empty_with_red_block(n):
-        return ac.empty(n).add_edge(0, 1, RED)
-
-    monkeypatch.setattr(altcycles.generate, "empty", empty_with_red_block)
-    with pytest.raises(ConstructionFailed):
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        ("empty", lambda n: ac.empty(n).add_edge(0, 1, RED), "not color-connected"),
+        ("is_2nm_closed", lambda g: False, "not 2-NM-closed"),
+        ("validate_cycle", lambda g, c: False, "factor cycles broken"),
+        ("reachable", lambda g, *_, **__: (1 << g.n) - 1, "alternating Hamiltonian cycle exists"),
+    ],
+    ids=["red-edge-in-block", "not-2nm-closed", "cycle-broken", "cut-block-reaches-all"],
+)
+def test_counterexample_self_check_names_each_failure(monkeypatch, name, fake, message):
+    monkeypatch.setattr(altcycles.generate, name, fake)
+    with pytest.raises(ConstructionFailed, match=f"^{message}$"):
         ac.gen_counterexample(3, 3)
 
 

@@ -82,8 +82,7 @@ def test_appropriately_label():
     a, b = appropriately_label(g, c1, c2, (2, 7))
     assert a.vertices[0] == 2 and b.vertices[0] == 7
     assert a.colors[0] is RED and b.colors[0] is RED
-    assert a.canonical() == c1.canonical()
-    assert b.canonical() == c2.canonical()
+    assert (a, b) == (c1.rotate(2).reverse(), c2.rotate(1))
 
 
 def test_appropriately_label_explicit_color():
@@ -513,7 +512,7 @@ def test_solve_single_cycle():
     c = ring(g, 0, 3)
     result = ac.solve_hamiltonian(g)
     assert isinstance(result, HamiltonianCycle)
-    assert result.cycle.canonical() == c.canonical()
+    assert result.cycle == c
 
 
 def test_solve_not_color_connected_certificate():

@@ -9,8 +9,8 @@ built by the generators in this repository's `tests/` (`bench/` is read
 only through `conftest.bench_module`). It writes one tab-separated line per
 entry: the entry's id, a short outcome label (the result's type name, or
 the error's type and message) and a sha256 over the call's input, its
-normalized result, its trace and any `MergeError`'s type, message and
-offenders. A graph result is hashed as its text serialization.
+normalized result, its trace and any `StructureViolation`'s type, message
+and offenders. A graph result is hashed as its text serialization.
 
 `compare` digests both checkouts, in two processes at once, lists the
 entries whose digests differ or that only one side has, with both sides'
@@ -150,9 +150,9 @@ def digest(root: Path) -> list[tuple[str, str, str]]:
             label = type(result).__name__
             if isinstance(result, ac.ColoredMultigraph):
                 result = ac.serialize_text(result)
-        except ac.merge.MergeError as exc:
+        except ac.merge.StructureViolation as exc:
             result = None
-            error = (type(exc).__name__, str(exc), repr(getattr(exc, "offenders", None)))
+            error = (type(exc).__name__, str(exc), repr(exc.offenders))
             label = f"{error[0]}: {error[1]}"
         given = (ac.serialize_text(args[0]), repr(args[1:]))
         payload = repr((given, result, trace, error)).encode()
