@@ -2,7 +2,7 @@
 factors, and constructive alternating Hamiltonian cycles."""
 
 from .cycles import AltCycle, validate_cycle, validate_factor
-from .factor import find_alternating_cycle_factor, find_factor_without_two_cycles, maximum_matching
+from .factor import find_alternating_cycle_factor, find_factor_without_two_cycles
 from .generate import closure_2m, gen_complete, gen_counterexample, gen_random
 from .graph import (
     BLUE,
@@ -21,9 +21,6 @@ from .merge import (
     NotAdjacent,
     NotColorConnected,
     NotTwoMClosed,
-    build_domination_digraph,
-    color_dominates,
-    merge_good_pair,
     merge_pair,
     solve_from_factor,
     solve_hamiltonian,
@@ -52,9 +49,7 @@ __all__ = [
     "NotColorConnected",
     "NotTwoMClosed",
     "RED",
-    "build_domination_digraph",
     "closure_2m",
-    "color_dominates",
     "empty",
     "exists_alternating_path",
     "find_alternating_cycle_factor",
@@ -66,8 +61,6 @@ __all__ = [
     "is_2nm_closed",
     "is_closed_alternating",
     "is_color_connected",
-    "maximum_matching",
-    "merge_good_pair",
     "merge_pair",
     "oracle_alt_path",
     "oracle_factor",

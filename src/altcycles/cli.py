@@ -139,7 +139,7 @@ def _cmd_solve(args) -> int:
 
 
 def _print_cycles(cycles: tuple[AltCycle, ...] | None) -> int:
-    if not cycles:
+    if cycles is None:
         print("none")
         return EXIT_FALSE
     for cycle in cycles:

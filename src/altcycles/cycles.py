@@ -34,9 +34,6 @@ class AltCycle:
     def p_set(self) -> set[int]:
         return {v for k, v in enumerate(self.vertices) if k % 2 == 1}
 
-    def vertex_set(self) -> set[int]:
-        return set(self.vertices)
-
     def reverse(self) -> AltCycle:
         """Traversal in the opposite direction, same first vertex.
 
@@ -64,9 +61,9 @@ class AltCycle:
         return all(self.colors[k] != self.colors[(k + 1) % m] for k in range(m))
 
 
-def decode_cycles(partner: Mapping[Color, Sequence[int]], n: int) -> tuple[AltCycle, ...]:
+def decode_cycles(partner: Mapping[Color, Sequence[int]], n: int) -> tuple[AltCycle, ...] | None:
     """Cycles of the factor in which v's blue and red partners are
-    partner[BLUE][v] and partner[RED][v].
+    partner[BLUE][v] and partner[RED][v]; None for n = 0 (no factor is empty).
 
     Each cycle starts at its smallest vertex and takes the blue edge first;
     cycles come in order of their smallest vertex.
@@ -86,7 +83,7 @@ def decode_cycles(partner: Mapping[Color, Sequence[int]], n: int) -> tuple[AltCy
             verts.append(u)
             v, color = u, color.other
         cycles.append(AltCycle(tuple(verts), alternating(BLUE, len(verts))))
-    return tuple(cycles)
+    return tuple(cycles) or None
 
 
 def validate_cycle(g: ColoredMultigraph, cycle: AltCycle) -> bool:
@@ -96,10 +93,12 @@ def validate_cycle(g: ColoredMultigraph, cycle: AltCycle) -> bool:
 
 
 def validate_factor(g: ColoredMultigraph, cycles: Iterable[AltCycle]) -> bool:
-    """Every cycle valid in g, and each vertex of g on exactly one of them."""
+    """Whether `cycles` is an alternating cycle factor of g: at least one
+    cycle, every cycle valid in g, and each vertex of g on exactly one."""
     cycles = tuple(cycles)
     spanned = sorted(v for c in cycles for v in c.vertices)
-    return all(validate_cycle(g, c) for c in cycles) and spanned == list(range(g.n))
+    valid = all(validate_cycle(g, c) for c in cycles)
+    return bool(cycles) and valid and spanned == list(range(g.n))
 
 
 def cycle_from_vertex_sequence(

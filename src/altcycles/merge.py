@@ -341,7 +341,7 @@ def solve_hamiltonian(
         return NotTwoMClosed(violations[0])
     # looked up on the module: the benchmark's tracer replaces the attribute
     cycles = factor.find_alternating_cycle_factor(g)
-    if not cycles:
+    if cycles is None:
         return NoFactor()
     return solve_from_factor(g, cycles, trace)
 
@@ -359,12 +359,12 @@ def solve_from_factor(
     none does, the sweep's verdicts build the domination digraph, and either
     a domination triangle merges three cycles or a source, a cycle that
     dominates every other, certifies non-color-connectivity. Raises
-    ValueError unless `cycles` is a nonempty alternating cycle factor of g,
-    and StructureViolation when a source dominates in both colors, when no
+    ValueError unless `validate_factor(g, cycles)` holds, and
+    StructureViolation when a source dominates in both colors, when no
     triangle or source exists, or when a final cycle is not Hamiltonian.
     """
     cycles = list(cycles)
-    if not cycles or not validate_factor(g, cycles):
+    if not validate_factor(g, cycles):
         raise ValueError("cycles are not an alternating cycle factor of g")
     disconnected = _disconnected_certificate(g, cycles)
     if disconnected is not None:
@@ -397,7 +397,7 @@ def solve_from_factor(
                     if len(outs) == size - 1:
                         if len(set(outs)) > 1:
                             raise StructureViolation("out-arcs of one cycle differ in color", (src,))
-                        outside = min(set(range(g.n)) - source_cycle.vertex_set())
+                        outside = min(set(range(g.n)) - set(source_cycle.vertices))
                         return _not_color_connected(source_cycle, outside, outs[0])
                 raise StructureViolation("no source of full out-degree", ())
             used = i, j, k = triangle

@@ -117,6 +117,6 @@ def oracle_merge(
 ) -> AltCycle | None:
     """Exhaustive search for an alternating cycle whose vertex set is exactly
     V(c1) union V(c2)."""
-    union = sorted(c1.vertex_set() | c2.vertex_set())
+    union = sorted({*c1.vertices, *c2.vertices})
     g.check_vertices(*union)
     return _spanning_cycle(g, sum(1 << v for v in union))

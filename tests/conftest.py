@@ -42,7 +42,7 @@ def dominate(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle, color) -> None:
 def complete_within(g: ColoredMultigraph, cycle: AltCycle, chord_color=BLUE) -> None:
     """Add chords inside one cycle's vertex set until no monochromatic
     2-path there is missing its endpoint edge."""
-    verts = sorted(cycle.vertex_set())
+    verts = sorted(cycle.vertices)
     changed = True
     while changed:
         changed = False

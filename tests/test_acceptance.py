@@ -10,6 +10,7 @@ import pytest
 
 import altcycles as ac
 from altcycles import BLUE, RED, HamiltonianCycle, NotColorConnected
+from altcycles.merge import merge_good_pair
 from conftest import assert_no_alternating_path, not_color_connected_graph, small_corpus
 
 
@@ -81,14 +82,14 @@ def test_criterion_4_good_pair_merges(corpus):
         cycles = list(factor)
         for i in range(len(cycles)):
             for j in range(i + 1, len(cycles)):
-                merged = ac.merge_good_pair(g, cycles[i], cycles[j])
+                merged = merge_good_pair(g, cycles[i], cycles[j])
                 if merged is None:
                     continue
                 assert merged.well_formed()
                 assert ac.validate_cycle(g, merged)
                 assert len(merged) == len(cycles[i]) + len(cycles[j])
-                assert merged.vertex_set() == (
-                    cycles[i].vertex_set() | cycles[j].vertex_set()
+                assert set(merged.vertices) == (
+                    set(cycles[i].vertices) | set(cycles[j].vertices)
                 )
                 merges += 1
     assert merges > 0

@@ -19,7 +19,7 @@ C6 = AltCycle((0, 1, 2, 3, 4, 5), alt_colors(6, BLUE))
 def test_position_classes():
     assert C6.i_set == {0, 2, 4}
     assert C6.p_set == {1, 3, 5}
-    assert C6.vertex_set() == set(range(6))
+    assert set(C6.vertices) == set(range(6))
     assert len(C6) == 6
 
 

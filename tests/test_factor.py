@@ -39,7 +39,7 @@ def test_maximum_matching_matches_brute_force():
             for v in range(u + 1, n)
             if rng.random() < 0.4
         ]
-        partner = ac.maximum_matching(edges, n)
+        partner = factor.maximum_matching(edges, n)
         assert len(partner) == n
         matched = [v for v in nodes if partner[v] is not None]
         assert all(partner[partner[v]] == v for v in matched)
@@ -50,7 +50,7 @@ def test_maximum_matching_matches_brute_force():
 @pytest.mark.parametrize("edges, stray", [([(0, -1)], -1), ([(0, 5)], 5)])
 def test_maximum_matching_rejects_endpoints_outside_the_vertices(edges, stray):
     with pytest.raises(OutOfRangeError, match=f"vertex {stray} outside 0..2"):
-        ac.maximum_matching(edges, 3)
+        factor.maximum_matching(edges, 3)
 
 
 def test_factor_leaves_little_cyclic_garbage():

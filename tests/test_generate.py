@@ -69,8 +69,8 @@ def test_counterexample_cycles_shape():
     c1, c2 = counterexample_cycles(2, 3)
     assert len(c1) == 4 and len(c2) == 6
     assert c1.well_formed() and c2.well_formed()
-    assert c1.vertex_set() | c2.vertex_set() == set(range(10))
-    assert not (c1.vertex_set() & c2.vertex_set())
+    assert set(c1.vertices) | set(c2.vertices) == set(range(10))
+    assert not (set(c1.vertices) & set(c2.vertices))
 
 
 @pytest.mark.parametrize("k1", [2, 3])

@@ -25,7 +25,10 @@ from altcycles.merge import (
     NotColorConnectedCert,
     StructureViolation,
     appropriately_label,
+    build_domination_digraph,
+    color_dominates,
     merge_domination_triangle,
+    merge_good_pair,
     merge_pair,
 )
 from conftest import (
@@ -103,11 +106,11 @@ def test_good_pair_found_and_merged():
     c1 = ring(g, 0, 2)
     c2 = ring(g, 4, 2)
     g.add_edge(0, 4, BLUE).add_edge(1, 5, BLUE)
-    merged = ac.merge_good_pair(g, c1, c2)
+    merged = merge_good_pair(g, c1, c2)
     assert merged.vertices == (0, 4, 7, 6, 5, 1, 2, 3)
     assert ac.validate_cycle(g, merged)
     assert len(merged) == len(c1) + len(c2)
-    assert merged.vertex_set() == c1.vertex_set() | c2.vertex_set()
+    assert set(merged.vertices) == set(c1.vertices) | set(c2.vertices)
 
 
 def test_good_pair_other_orientation():
@@ -115,7 +118,7 @@ def test_good_pair_other_orientation():
     c1 = ring(g, 0, 2)
     c2 = ring(g, 4, 2)
     g.add_edge(0, 5, BLUE).add_edge(1, 4, BLUE)
-    merged = ac.merge_good_pair(g, c1, c2)
+    merged = merge_good_pair(g, c1, c2)
     assert merged.vertices == (0, 5, 6, 7, 4, 1, 2, 3)
     assert ac.validate_cycle(g, merged)
     assert len(merged) == 8
@@ -127,7 +130,7 @@ def test_good_pair_requires_matching_colors():
     c2 = ring(g, 4, 2)
     # cross edges of the wrong color for every cycle edge they span
     g.add_edge(0, 4, RED).add_edge(1, 5, RED)
-    assert ac.merge_good_pair(g, c1, c2) is None
+    assert merge_good_pair(g, c1, c2) is None
 
 
 def test_good_pair_soundness_over_corpus():
@@ -139,7 +142,7 @@ def test_good_pair_soundness_over_corpus():
         cycles = list(factor)
         for i in range(len(cycles)):
             for j in range(i + 1, len(cycles)):
-                merged = ac.merge_good_pair(g, cycles[i], cycles[j])
+                merged = merge_good_pair(g, cycles[i], cycles[j])
                 if merged is None:
                     continue
                 assert ac.validate_cycle(g, merged)
@@ -199,16 +202,16 @@ def test_merge_pair_mixed_star():
         assert isinstance(out, Merged)
         assert out.rule == expect
         assert ac.validate_cycle(g, out.cycle)
-        assert out.cycle.vertex_set() == set(range(8))
+        assert set(out.cycle.vertices) == set(range(8))
 
 
 def test_merge_pair_domination_verdict():
     g, c1, c2 = domination_pair_graph()
     out = ac.merge_pair(g, c1, c2)
     assert out == Dominates(source=1, color=BLUE)
-    assert ac.merge_good_pair(g, c1, c2) is None
-    assert ac.color_dominates(g, c1, c2) is BLUE
-    assert ac.color_dominates(g, c2, c1) is None
+    assert merge_good_pair(g, c1, c2) is None
+    assert color_dominates(g, c1, c2) is BLUE
+    assert color_dominates(g, c2, c1) is None
     # swapped arguments report the same domination from the other side
     assert ac.merge_pair(g, c2, c1) == Dominates(source=2, color=BLUE)
 
@@ -252,7 +255,7 @@ def test_color_dominates_matches_pairwise_reference():
             g.add_edge(u, v, rng.choice((BLUE, RED)))
         for c1, c2 in permutations(cycles, 2):
             expected = next((c for c in (BLUE, RED) if _dominates_with(g, c1, c2, c)), None)
-            assert ac.color_dominates(g, c1, c2) is expected
+            assert color_dominates(g, c1, c2) is expected
             seen[expected] += 1
     assert set(seen) == {BLUE, RED, None}
 
@@ -264,7 +267,7 @@ def test_color_dominates_rejects_vertices_outside_the_graph():
         c2 = AltCycle(bad, (BLUE, RED) * 2)
         for pair in ((c1, c2), (c2, c1)):
             with pytest.raises(OutOfRangeError, match=rf"^vertex {named} outside 0\.\.7$"):
-                ac.color_dominates(g, *pair)
+                color_dominates(g, *pair)
 
 
 def test_merge_pair_label_invariant():
@@ -282,7 +285,7 @@ def test_merge_pair_chord_inside_even_class():
     assert isinstance(out, Merged)
     assert out.rule == "chord"
     assert ac.validate_cycle(g, out.cycle)
-    assert out.cycle.vertex_set() == set(range(10))
+    assert set(out.cycle.vertices) == set(range(10))
 
 
 def test_merge_pair_chord_inside_odd_class():
@@ -291,7 +294,7 @@ def test_merge_pair_chord_inside_odd_class():
     out = ac.merge_pair(g, c1, c2)
     assert isinstance(out, Merged)
     assert ac.validate_cycle(g, out.cycle)
-    assert out.cycle.vertex_set() == set(range(10))
+    assert set(out.cycle.vertices) == set(range(10))
 
 
 def test_merge_pair_raises_without_a_pattern():
@@ -318,7 +321,7 @@ def digraph_of(g, cycles):
         (i, j): ac.merge_pair(g, cycles[i], cycles[j])
         for i, j in combinations(range(len(cycles)), 2)
     }
-    return ac.build_domination_digraph(verdicts)
+    return build_domination_digraph(verdicts)
 
 
 TRIANGLE_COLORS = [
@@ -345,7 +348,7 @@ def test_domination_triangle(colors):
     assert trace[-1] == "merge triangle 0 1 2"
     merged = merge_domination_triangle(g, cycles[0], cycles[1], cycles[2], colors)
     assert ac.validate_cycle(g, merged)
-    assert merged.vertex_set() == set(range(14))
+    assert set(merged.vertices) == set(range(14))
 
 
 def test_domination_triangle_solves_to_hamiltonian():
@@ -363,8 +366,8 @@ def test_digraph_rejects_merged_pair_of_two_way_planting():
     c2 = ring(g, 4, 2)
     dominate(g, c1, c2, BLUE)
     dominate(g, c2, c1, BLUE)
-    assert ac.color_dominates(g, c1, c2) is None
-    assert ac.color_dominates(g, c2, c1) is None
+    assert color_dominates(g, c1, c2) is None
+    assert color_dominates(g, c2, c1) is None
     assert isinstance(ac.merge_pair(g, c1, c2), Merged)
     with pytest.raises(StructureViolation, match="^adjacent cycles with no domination$"):
         digraph_of(g, [c1, c2])
@@ -374,7 +377,7 @@ def test_digraph_is_plain_arcs():
     """Pairs without an arc add nothing: the digraph need not be a tournament."""
     dom = Dominates(1, BLUE)
     verdicts = {(0, 1): dom, (0, 2): dom, (1, 2): NotAdjacent()}
-    assert ac.build_domination_digraph(verdicts) == {(0, 1): BLUE, (0, 2): BLUE}
+    assert build_domination_digraph(verdicts) == {(0, 1): BLUE, (0, 2): BLUE}
 
 
 def test_digraph_source():
@@ -419,7 +422,7 @@ def test_dominates_verdicts_are_one_way_and_match_the_first_edge(monkeypatch):
     assert planted and len(seen) > planted
     for g, c1, c2, outcome in seen:
         src, dst = (c1, c2) if outcome.source == 1 else (c2, c1)
-        assert ac.color_dominates(g, dst, src) is None
+        assert color_dominates(g, dst, src) is None
         u, v = src.vertices[0], dst.vertices[0]
         assert [c for c in (BLUE, RED) if g.has_edge_color(u, v, c)] == [outcome.color]
 
@@ -479,7 +482,7 @@ def test_dominated_pairs_span_no_alternating_cycle():
     for seed in range(300):
         g, cycles = planted_instance(seed)
         for c1, c2 in permutations(cycles, 2):
-            if ac.color_dominates(g, c1, c2) is not None:
+            if color_dominates(g, c1, c2) is not None:
                 dominated += 1
                 assert ac.oracle_merge(g, c1, c2) is None
     assert dominated == 291
@@ -499,7 +502,16 @@ def test_solve_not_2m_closed():
 
 
 def test_solve_no_factor():
-    assert isinstance(ac.solve_hamiltonian(ac.empty(0)), NoFactor)
+    # an empty tuple is never a factor: every entry point says None or no
+    g0 = ac.empty(0)
+    assert isinstance(ac.solve_hamiltonian(g0), NoFactor)
+    assert ac.find_alternating_cycle_factor(g0) is None
+    assert ac.find_factor_without_two_cycles(g0) is None
+    for allow_two_cycles in (True, False):
+        assert ac.oracle_factor(g0, allow_two_cycles=allow_two_cycles) is None
+    assert not ac.validate_factor(g0, ())
+    with pytest.raises(ValueError, match="not an alternating cycle factor"):
+        ac.solve_from_factor(g0, ())
     g = ac.empty(4)
     for u in range(4):
         for v in range(u + 1, 4):
@@ -520,8 +532,8 @@ def test_solve_not_color_connected_certificate():
     result = ac.solve_hamiltonian(g)
     assert isinstance(result, NotColorConnected)
     cert = result.certificate
-    assert cert.vertex in cert.cycle.vertex_set()
-    assert cert.target not in cert.cycle.vertex_set()
+    assert cert.vertex in cert.cycle.vertices
+    assert cert.target not in cert.cycle.vertices
     assert_no_alternating_path(g, cert.vertex, cert.target, cert.start_color)
     assert not ac.is_color_connected(g)
     assert ac.oracle_hamiltonian(g) is None
@@ -602,8 +614,8 @@ def test_two_cycle_factor_gap():
     )
     c01, c23, c45 = factor
     assert [c.vertices for c in (c01, c23, c45)] == [(0, 1), (2, 3), (4, 5)]
-    assert ac.color_dominates(g, c45, c01) is BLUE
-    assert ac.color_dominates(g, c45, c23) is RED
+    assert color_dominates(g, c45, c01) is BLUE
+    assert color_dominates(g, c45, c23) is RED
     with pytest.raises(StructureViolation, match="^out-arcs of one cycle differ in color$"):
         ac.solve_hamiltonian(g)
 

@@ -51,7 +51,7 @@ def test_oracle_hamiltonian_matches_permutation_search():
         assert (fast is None) == (slow is None)
         if fast is not None:
             assert ac.validate_cycle(g, fast)
-            assert fast.vertex_set() == set(range(n))
+            assert set(fast.vertices) == set(range(n))
 
 
 def test_oracle_factor_validates():
@@ -85,7 +85,7 @@ def test_oracle_merge_covers_both_cycles():
     merged = ac.oracle_merge(g, c1, c2)
     assert merged is not None
     assert ac.validate_cycle(g, merged)
-    assert merged.vertex_set() == set(range(8))
+    assert set(merged.vertices) == set(range(8))
     # and with no cross edges there is nothing to merge
     h = ac.empty(8)
     d1 = ring(h, 0, 2)

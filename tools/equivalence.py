@@ -16,13 +16,15 @@ and offenders. A graph result is hashed as its text serialization.
 entries whose digests differ or that only one side has, with both sides'
 labels, and exits 1 if there is any.
 
-The corpus, 49,613 entries:
+The corpus, 52,063 entries:
 - planted seeds 0-5999 through `solve_from_factor`, in both cycle orders,
   and through `solve_hamiltonian`;
 - `merge_pair` and `oracle_merge` both ways on the planted cycle pairs of
   seeds 0-1499;
 - the benchmark's solve-corpus pools of seeds 1-3, through
-  `solve_hamiltonian` and `find_alternating_cycle_factor`, and those with
+  `solve_hamiltonian`, `find_alternating_cycle_factor` and
+  `find_factor_without_two_cycles` (the CLI's `--min-cycle-len 4`
+  fallback), and those with
   n <= 10 through `oracle_factor(g)` and
   `oracle_factor(g, allow_two_cycles=False)`; its
   color-connected pools of seeds 1-3, through `color_connectivity_witness`;
@@ -42,7 +44,12 @@ The corpus, 49,613 entries:
 - `closure_2m(gen_random(16, s, 0.1), s)` for s 0-99, the closure
   benchmark's shape;
 - the 96 two-square colorings that once raised, in both cycle orders;
-- the fixtures G8, G8b and G12 on their factors.
+- the fixtures G8, G8b and G12 on their factors;
+- five tiny graphs (n 0, 1 and 2 without edges, a blue edge, and a pair
+  joined in both colors) through `solve_hamiltonian`, both factor finders,
+  `oracle_factor` with both flag values, `color_connectivity_witness`,
+  `closed_alternating_witness`, the `two_m_violations` and
+  `two_nm_violations` lists and `closure_2m`.
 """
 from __future__ import annotations
 
@@ -79,6 +86,7 @@ def entries(ac, fx):
     witness = ac.predicates.color_connectivity_witness
     closed_alternating = ac.predicates.closed_alternating_witness
     solve, from_factor = ac.solve_hamiltonian, ac.solve_from_factor
+    without_two_cycles = ac.find_factor_without_two_cycles
     for seed in range(6000):
         g, cycles = fx.planted_instance(seed)
         yield f"planted {seed} forward", from_factor, (g, cycles)
@@ -92,6 +100,7 @@ def entries(ac, fx):
         for k, g in enumerate(fx.solve_corpus_graphs(seed)):
             yield f"solve-corpus {seed} {k}", solve, (g,)
             yield f"factor {seed} {k}", factor, (g,)
+            yield f"factor without 2-cycles {seed} {k}", without_two_cycles, (g,)
             if g.n <= 10:
                 yield f"oracle-factor {seed} {k}", oracle_factor, (g, False)
                 yield f"oracle-factor 2-cycles {seed} {k}", oracle_factor, (g, True)
@@ -131,6 +140,28 @@ def entries(ac, fx):
     for name in ("G8", "G8b", "G12"):
         g, cycles = getattr(fx, name)()
         yield f"fixture {name}", from_factor, (g, cycles)
+    tiny = {
+        "n 0": "n 0",
+        "n 1": "n 1",
+        "n 2": "n 2",
+        "blue edge": "n 2\ne 0 1 B",
+        "both colors": "n 2\ne 0 1 B\ne 0 1 R",
+    }
+    calls = {
+        "solve": (solve,),
+        "factor": (factor,),
+        "factor without 2-cycles": (without_two_cycles,),
+        "oracle-factor": (oracle_factor, False),
+        "oracle-factor 2-cycles": (oracle_factor, True),
+        "color-connected": (witness,),
+        "closed-alternating": (closed_alternating,),
+        "two-m": (ac.two_m_violations,),
+        "two-nm": (ac.two_nm_violations,),
+        "closure-2m": (ac.closure_2m,),
+    }
+    for name, text in tiny.items():
+        for call, (fn, *flag) in calls.items():
+            yield f"tiny {name} {call}", fn, (ac.parse_text(text), *flag)
 
 
 def _ordered_pairs(cycles):
