@@ -7,23 +7,19 @@ graph (a blue and a red edge on the same pair make a 2-cycle).
 """
 from __future__ import annotations
 
-from itertools import islice
-
 import networkx as nx
 
 from .cycles import AltCycle, decode_cycles
-from .graph import BLUE, RED, Color, ColoredMultigraph, OutOfRangeError, bits, reachable
+from .graph import BLUE, RED, Color, ColoredMultigraph, bits, reachable
 
 
 def maximum_matching(edges: list[tuple[int, int]], n: int) -> list[int | None]:
     """Each vertex's partner in a maximum-cardinality matching of the plain
-    graph on 0..n-1 with these edges, None where unmatched. Raises
-    OutOfRangeError on an endpoint outside 0..n-1."""
+    graph on 0..n-1 with these edges, None where unmatched. The edges come
+    from `_edges(g, color)`, so every endpoint is in range."""
     h = nx.Graph()
     h.add_nodes_from(range(n))
     h.add_edges_from(edges)
-    if h.number_of_nodes() != n:  # the nodes past the first n are stray endpoints
-        raise OutOfRangeError(f"vertex {next(islice(h, n, None))} outside 0..{n - 1}")
     partner: list[int | None] = [None] * n
     for u, v in nx.max_weight_matching(h, maxcardinality=True):
         partner[u], partner[v] = v, u

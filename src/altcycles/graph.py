@@ -120,11 +120,6 @@ class ColoredMultigraph:
         self.check_vertices(u, v)
         return self._adj[color is RED][u] >> v & 1 == 1
 
-    def has_edge_any(self, u: int, v: int) -> bool:
-        self.check_vertices(u, v)
-        blue, red = self._adj
-        return (blue[u] | red[u]) >> v & 1 == 1
-
     def has_walk(self, vertices: Sequence[int], colors: Sequence[Color]) -> bool:
         """Whether every vertex is in 0..n-1, `colors` has one color per
         consecutive pair of `vertices` and each pair has an edge of its

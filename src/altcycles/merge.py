@@ -105,7 +105,7 @@ def appropriately_label(
     """Relabel so the cross edge (x, y), x on c1 and y on c2, starts both
     cycles and both first cycle edges carry its color (Blue if it has both)."""
     x, y = edge
-    color = BLUE if g.has_edge_color(x, y, BLUE) else RED
+    color = BLUE if g.masks(BLUE)[x] >> y & 1 else RED
     # rotate the anchor to the front; reversal keeps it there and flips the
     # first edge's color, and each cycle vertex has one cycle edge per color
     return tuple(
@@ -126,14 +126,13 @@ def merge_good_pair(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> AltCycl
     x, y = c1.vertices, c2.vertices
     for i in range(m1):
         color = c1.colors[i]
+        own = g.masks(color)
         for j in range(m2):
             if c2.colors[j] is not color:
                 continue
             # enter c2 at y_p, leave it at y_q, walking away from y_q
             for p, q, step in ((j, j + 1, -1), (j + 1, j, 1)):
-                if g.has_edge_color(x[i], y[p % m2], color) and g.has_edge_color(
-                    x[(i + 1) % m1], y[q % m2], color
-                ):
+                if own[x[i]] >> y[p % m2] & 1 and own[x[(i + 1) % m1]] >> y[q % m2] & 1:
                     c2_part = [y[(p + step * k) % m2] for k in range(m2)]
                     rest = [x[(i + 1 + k) % m1] for k in range(m1 - 1)]
                     return cycle_from_vertex_sequence(g, [x[i], *c2_part, *rest])
@@ -149,12 +148,10 @@ def color_dominates(g: ColoredMultigraph, c1: AltCycle, c2: AltCycle) -> Color |
     six-condition definition (read with the cycles as labelled), else None:
     c1's even-position class is complete in that color, and joined to all of
     c2 in it alone; its odd-position class likewise in the other color.
-    Raises OutOfRangeError on a vertex outside g."""
-    g.check_vertices(*c1.vertices, *c2.vertices)
-    for color in (BLUE, RED):
-        if _dominates_with(g, c1, c2, color):
-            return color
-    return None
+    So only the color of the edge between the first vertices can dominate,
+    and only it is tested. `merge_pair` checks the vertices' range."""
+    color = BLUE if g.masks(BLUE)[c1.vertices[0]] >> c2.vertices[0] & 1 else RED
+    return color if _dominates_with(g, c1, c2, color) else None
 
 
 def _dominates_with(
@@ -258,7 +255,7 @@ def _merge_chord(g: ColoredMultigraph, a: AltCycle, b: AltCycle) -> AltCycle | N
         n, xs, ys = len(xc), xc.vertices, yc.vertices
         for p in range(0, n, 2):
             for q in range(p + 2, n, 2):
-                if not g.has_edge_color(xs[p], xs[q], color):
+                if not g.masks(color)[xs[p]] >> xs[q] & 1:
                     continue
                 # y_0, then x from x_{p-1} back round to x_q, then x_p..x_{q-1},
                 # then y back round to y_1

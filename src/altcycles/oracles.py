@@ -28,7 +28,7 @@ def _spanning_cycle(g: ColoredMultigraph, within: int) -> AltCycle | None:
 
     def dfs(v: int, need: Color, first: Color, free: int) -> AltCycle | None:
         if len(seq) == n:
-            if g.has_edge_color(v, start, need):
+            if g.masks(need)[v] >> start & 1:
                 return AltCycle(tuple(seq), alternating(first, n))
             return None
         for u in bits(g.masks(need)[v] & free):

@@ -47,7 +47,7 @@ def complete_within(g: ColoredMultigraph, cycle: AltCycle, chord_color=BLUE) -> 
     while changed:
         changed = False
         for w in ac.two_m_violations(g):
-            if w.x1 in verts and w.x3 in verts and not g.has_edge_any(w.x1, w.x3):
+            if w.x1 in verts and w.x3 in verts and w.endpoint_edge_missing(g):
                 g.add_edge(w.x1, w.x3, chord_color)
                 changed = True
 

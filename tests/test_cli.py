@@ -10,6 +10,7 @@ from altcycles import BLUE, RED
 from altcycles.cli import export_dot, main
 from altcycles.generate import ConstructionFailed
 from altcycles.graph import MAX_VERTICES
+from altcycles.predicates import TwoPath
 from conftest import (
     G8b,
     assert_no_alternating_path,
@@ -66,9 +67,8 @@ def test_check_false_with_witness(capsys, write_graph):
     assert lines[0] == "false"
     assert lines[1] == "witness 2path 0 1 2"
     # replay the witness against the library
-    x1, x2, x3 = map(int, lines[1].split()[2:])
-    assert g.has_edge_any(x1, x2) and g.has_edge_any(x2, x3)
-    assert not g.has_edge_any(x1, x3)
+    w = TwoPath(*map(int, lines[1].split()[2:]), BLUE, BLUE)
+    assert w.holds_in(g) and w.endpoint_edge_missing(g)
 
 
 def test_check_color_connected_deep_search(capsys, write_graph):

@@ -8,7 +8,6 @@ import pytest
 
 import altcycles as ac
 from altcycles import BLUE, RED, factor
-from altcycles.graph import OutOfRangeError
 from conftest import complete_coloring, ring
 
 
@@ -45,12 +44,6 @@ def test_maximum_matching_matches_brute_force():
         assert all(partner[partner[v]] == v for v in matched)
         assert all(tuple(sorted((v, partner[v]))) in edges for v in matched)
         assert len(matched) == 2 * brute_max_matching_size(edges, nodes)
-
-
-@pytest.mark.parametrize("edges, stray", [([(0, -1)], -1), ([(0, 5)], 5)])
-def test_maximum_matching_rejects_endpoints_outside_the_vertices(edges, stray):
-    with pytest.raises(OutOfRangeError, match=f"vertex {stray} outside 0..2"):
-        factor.maximum_matching(edges, 3)
 
 
 def test_factor_leaves_little_cyclic_garbage():

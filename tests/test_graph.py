@@ -35,8 +35,6 @@ def test_add_edge_basic():
     assert g.has_edge_color(0, 1, BLUE)
     assert g.has_edge_color(1, 0, BLUE)
     assert not g.has_edge_color(0, 1, RED)
-    assert g.has_edge_any(0, 1)
-    assert not g.has_edge_any(0, 2)
     g.add_edge(1, 0, RED)
     assert g.has_edge_color(0, 1, BLUE) and g.has_edge_color(0, 1, RED)
     assert g.edge_count() == 2

@@ -169,8 +169,7 @@ def test_merge_pair_rejects_vertices_outside_the_graph():
         for pair in ((c1, outside), (outside, c1)):
             with pytest.raises(OutOfRangeError):
                 ac.merge_pair(g, *pair)
-    # both cycles leave the graph: c1's vertices are named first, as in
-    # `color_dominates`
+    # both cycles leave the graph: c1's vertices are named first
     low_bad, high_bad = AltCycle((1, 5), (BLUE, RED)), AltCycle((0, 9), (BLUE, RED))
     for pair, named in (((high_bad, low_bad), 9), ((low_bad, high_bad), 5)):
         with pytest.raises(OutOfRangeError, match=rf"^vertex {named} outside 0\.\.3$"):
@@ -231,7 +230,7 @@ def _dominates_with(g, c1, c2, color):
     i_set, p_set = sorted(c1.i_set), sorted(c1.p_set)
     for u in c1.vertices:
         for v in c2.vertices:
-            if not g.has_edge_any(u, v):
+            if not (g.has_edge_color(u, v, BLUE) or g.has_edge_color(u, v, RED)):
                 return False
     if not _class_monochromatic(g, i_set, color):
         return False
@@ -260,14 +259,29 @@ def test_color_dominates_matches_pairwise_reference():
     assert set(seen) == {BLUE, RED, None}
 
 
-def test_color_dominates_rejects_vertices_outside_the_graph():
-    g = ac.empty(8)
-    c1 = ring(g, 4, 2)
-    for bad, named in (((0, 1, 2, 30), 30), ((0, 1, 2, -3), -3)):
-        c2 = AltCycle(bad, (BLUE, RED) * 2)
-        for pair in ((c1, c2), (c2, c1)):
-            with pytest.raises(OutOfRangeError, match=rf"^vertex {named} outside 0\.\.7$"):
-                color_dominates(g, *pair)
+def test_color_dominates_tests_one_color(monkeypatch):
+    """Only the color of the edge between the cycles' first vertices can
+    dominate, so a domination test runs `_dominates_with` at most once."""
+    inner, outer = ac.merge._dominates_with, ac.merge.color_dominates
+    runs: list[int] = []  # `_dominates_with` calls per `color_dominates` call
+
+    def counted_inner(*args):
+        runs[-1] += 1
+        return inner(*args)
+
+    def counted_outer(*args):
+        runs.append(0)
+        return outer(*args)
+
+    monkeypatch.setattr(ac.merge, "_dominates_with", counted_inner)
+    monkeypatch.setattr(ac.merge, "color_dominates", counted_outer)
+    verdicts: Counter = Counter()
+    for seed in range(300):
+        g, cycles = planted_instance(seed)
+        for c1, c2 in permutations(cycles, 2):
+            verdicts[type(ac.merge_pair(g, c1, c2))] += 1
+    assert max(runs) == 1
+    assert verdicts[Dominates] > 0
 
 
 def test_merge_pair_label_invariant():

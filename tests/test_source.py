@@ -45,20 +45,42 @@ def test_adjacency_storage_stays_in_graph_module():
     assert found == []
 
 
-def test_range_errors_are_raised_in_graph_and_factor_only():
-    """Vertex ranges are checked by `ColoredMultigraph.check_vertices`, and
-    `maximum_matching` checks its own edge list, so no other module spells
-    the check again."""
+def test_range_errors_are_raised_in_graph_only():
+    """Vertex ranges are checked by `ColoredMultigraph.check_vertices`, so no
+    other module spells the check again."""
     found = [
         f"{name}:{node.lineno}"
         for name, node in library_nodes()
-        if name not in ("graph.py", "factor.py")
+        if name != "graph.py"
         and isinstance(node, ast.Raise)
         and any(
             getattr(sub, "id", getattr(sub, "attr", None)) == "OutOfRangeError"
             for sub in ast.walk(node)
         )
     ]
+    assert found == []
+
+
+def test_ranges_are_checked_at_the_public_doors_only():
+    """A vertex range is checked once, by the public call that receives the
+    vertex: only `ColoredMultigraph` methods and names in `altcycles.__all__`
+    call `check_vertices`. The internal steps read the masks, so no module
+    but `graph.py` probes an edge through `has_edge_color`."""
+    found = []
+    for name, _lines, tree in library_sources():
+        for top in tree.body:
+            for func in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                door = func.name if func is top else f"{top.name}.{func.name}"
+                called = {getattr(node.func, "attr", None) for node in ast.walk(func)
+                          if isinstance(node, ast.Call)}
+                if "check_vertices" in called and not (
+                    door in altcycles.__all__ or door.startswith("ColoredMultigraph.")
+                ):
+                    found.append(f"{name}:{door} checks a range")
+                if "has_edge_color" in called and name != "graph.py":
+                    found.append(f"{name}:{door} calls has_edge_color")
     assert found == []
 
 

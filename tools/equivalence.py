@@ -16,17 +16,16 @@ and offenders. A graph result is hashed as its text serialization.
 entries whose digests differ or that only one side has, with both sides'
 labels, and exits 1 if there is any.
 
-The corpus, 52,063 entries:
+The corpus, 55,028 entries:
 - planted seeds 0-5999 through `solve_from_factor`, in both cycle orders,
   and through `solve_hamiltonian`;
-- `merge_pair` and `oracle_merge` both ways on the planted cycle pairs of
-  seeds 0-1499;
+- seeds 0-1499 of those through `oracle_hamiltonian`, and `merge_pair`
+  and `oracle_merge` both ways on their planted cycle pairs;
 - the benchmark's solve-corpus pools of seeds 1-3, through
   `solve_hamiltonian`, `find_alternating_cycle_factor` and
   `find_factor_without_two_cycles` (the CLI's `--min-cycle-len 4`
-  fallback), and those with
-  n <= 10 through `oracle_factor(g)` and
-  `oracle_factor(g, allow_two_cycles=False)`; its
+  fallback), and those with n <= 10 through `oracle_hamiltonian`,
+  `oracle_factor(g)` and `oracle_factor(g, allow_two_cycles=False)`; its
   color-connected pools of seeds 1-3, through `color_connectivity_witness`;
 - `gen_counterexample(k1, k2)` for 2 <= k1 <= k2 <= 5 and for
   6 <= k1 <= k2 <= 8, and `gen_random(13 + s % 8, s, 0.3)` for s 0-19,
@@ -83,6 +82,7 @@ def entries(ac, fx):
         return ac.oracle_factor(g, allow_two_cycles=allow_two_cycles)
 
     merge, oracle_merge, factor = ac.merge_pair, ac.oracle_merge, ac.find_alternating_cycle_factor
+    hamiltonian = ac.oracle_hamiltonian
     witness = ac.predicates.color_connectivity_witness
     closed_alternating = ac.predicates.closed_alternating_witness
     solve, from_factor = ac.solve_hamiltonian, ac.solve_from_factor
@@ -93,6 +93,7 @@ def entries(ac, fx):
         yield f"planted {seed} reversed", from_factor, (g, cycles[::-1])
         yield f"planted {seed} solve", solve, (g,)
         if seed < 1500:
+            yield f"oracle-hamiltonian planted {seed}", hamiltonian, (g,)
             for i, j, c1, c2 in _ordered_pairs(cycles):
                 yield f"merge-pair {seed} {i} {j}", merge, (g, c1, c2)
                 yield f"oracle-merge {seed} {i} {j}", oracle_merge, (g, c1, c2)
@@ -102,6 +103,7 @@ def entries(ac, fx):
             yield f"factor {seed} {k}", factor, (g,)
             yield f"factor without 2-cycles {seed} {k}", without_two_cycles, (g,)
             if g.n <= 10:
+                yield f"oracle-hamiltonian {seed} {k}", hamiltonian, (g,)
                 yield f"oracle-factor {seed} {k}", oracle_factor, (g, False)
                 yield f"oracle-factor 2-cycles {seed} {k}", oracle_factor, (g, True)
         for k, g in enumerate(fx.color_connected_graphs(seed)):
