@@ -170,13 +170,17 @@ def exists_alternating_path(
 
     Colors along an alternating path are forced by the first edge, so the
     search is a DFS over simple paths with the color schedule fixed, on an
-    explicit stack, trying neighbors lowest first.
+    explicit stack, trying neighbors lowest first. Every path it returns
+    enters y by an edge of color `last`, so when y has no such edge the
+    answer is None without a search.
     """
     if x == y:
         raise ValueError("endpoints must differ")
     g.check_vertices(x, y)
     adj = (g.masks(BLUE), g.masks(RED))
     need, want = first is RED, last is RED  # color indices into adj
+    if not adj[want][y]:
+        return None
     path = [x]
     on_path = 1 << x
     # per path vertex, its untried neighbors in the color its next edge needs
@@ -225,7 +229,8 @@ def color_connectivity_witness(g: ColoredMultigraph) -> ColorConnectivityWitness
     Every subpath of an alternating path is alternating, so every subpath
     of every path a search returns is recorded in one table for the call,
     and a query the table answers is True without a search. False comes
-    only from a search, through the module global `exists_alternating_path`.
+    from the module global `exists_alternating_path`: from its search, or
+    at once when y has no edge of the last color.
     The table keeps each pair once, under its smaller endpoint a, in 4n
     ints, row a of at most n - a - 1 bits: at most 2n*n bits, n*n/4 bytes,
     as the graph's masks take.

@@ -160,6 +160,18 @@ def G12() -> tuple[ColoredMultigraph, list[AltCycle]]:
     return g, [cycle_from_vertex_sequence(g, span) for span in (range(4, 12), range(4))]
 
 
+def blue_apex(n: int, seed: int, neighbors=None) -> ColoredMultigraph:
+    """`gen_complete(n, seed)` plus vertex n, joined in blue to each of
+    `neighbors` (every other vertex by default). Vertex n has no red edge,
+    so (0, n) fails color-connectivity."""
+    g = ac.empty(n + 1)
+    for u, v, c in ac.gen_complete(n, seed).edges():
+        g.add_edge(u, v, c)
+    for v in range(n) if neighbors is None else neighbors:
+        g.add_edge(v, n, BLUE)
+    return g
+
+
 def small_corpus(count: int, sizes=range(4, 9), seed0: int = 0):
     """Deterministic mix of complete-random and closed-up random graphs."""
     out = []

@@ -14,6 +14,7 @@ from altcycles.predicates import TwoPath
 from conftest import (
     G8b,
     assert_no_alternating_path,
+    blue_apex,
     not_color_connected_graph,
     ring,
     triangle_graph,
@@ -80,6 +81,16 @@ def test_check_color_connected_deep_search(capsys, write_graph):
     code, out, err = run(capsys, "check", "--predicate", "color-connected", write_graph(g))
     assert (code, err) == (1, "")
     assert out.splitlines()[:2] == ["false", "witness pair 0 1"]
+
+
+def test_check_color_connected_target_without_a_red_edge(capsys, write_graph):
+    # vertex 40 is joined to every other vertex in blue only, so no path
+    # reaches it in red, and a search for one would walk every alternating
+    # path of the complete coloring on the other 40
+    path = write_graph(blue_apex(40, 1))
+    code, out, err = run(capsys, "check", "--predicate", "color-connected", path)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[:2] == ["false", "witness pair 0 40"]
 
 
 def test_check_color_connected_searches_only_what_the_verdict_needs(capsys, write_graph):

@@ -16,7 +16,7 @@ from altcycles.predicates import (
     color_connectivity_witness,
     open_two_paths,
 )
-from conftest import not_color_connected_graph, ring, small_corpus
+from conftest import blue_apex, not_color_connected_graph, ring, small_corpus
 
 
 def path_graph(*colors):
@@ -202,6 +202,21 @@ def test_color_connectivity_witness_fields():
         w.existence.get((a, b), False) for (a, b) in ((BLUE, RED), (RED, BLUE))
     )
     assert not same and not crossed
+
+
+def test_target_without_an_edge_of_the_last_color_needs_no_search():
+    # vertex 40 has blue edges only: no path ends at it in red, and a search
+    # for one would walk every alternating path of the complete coloring
+    g = blue_apex(40, 1)
+    w = color_connectivity_witness(g)
+    assert (w.x, w.y) == (0, 40)
+    assert w.existence == {
+        (BLUE, BLUE): True,
+        (BLUE, RED): False,
+        (RED, BLUE): True,
+        (RED, RED): False,
+    }
+    assert ac.exists_alternating_path(g, 0, 40, RED, RED) is None
 
 
 def test_witness_runs_only_the_searches_its_verdict_needs(monkeypatch):

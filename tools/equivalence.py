@@ -16,7 +16,7 @@ and offenders. A graph result is hashed as its text serialization.
 entries whose digests differ or that only one side has, with both sides'
 labels, and exits 1 if there is any.
 
-The corpus, 55,028 entries:
+The corpus, 60,362 entries:
 - planted seeds 0-5999 through `solve_from_factor`, in both cycle orders,
   and through `solve_hamiltonian`;
 - seeds 0-1499 of those through `oracle_hamiltonian`, and `merge_pair`
@@ -30,6 +30,10 @@ The corpus, 55,028 entries:
 - `gen_counterexample(k1, k2)` for 2 <= k1 <= k2 <= 5 and for
   6 <= k1 <= k2 <= 8, and `gen_random(13 + s % 8, s, 0.3)` for s 0-19,
   through `color_connectivity_witness`;
+- `gen_complete(n, s)` plus a vertex n joined in blue to every other
+  vertex (blue apex) or to vertex 1 alone (pendant), for n 4-12 and s 0-2,
+  through `color_connectivity_witness`, and those with n <= 8 through
+  `exists_alternating_path` on every ordered pair and end color pair;
 - `gen_complete` for even n 4-80 and seeds 0-2, through
   `solve_hamiltonian`;
 - 3000 graphs `closure_2m(gen_random(4 + s % 11, s, 0.3), s)`, likewise,
@@ -57,6 +61,7 @@ import hashlib
 import subprocess
 import sys
 import time
+from itertools import permutations, product
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -114,6 +119,16 @@ def entries(ac, fx):
                 yield f"counterexample {k1} {k2}", witness, (ac.gen_counterexample(k1, k2),)
     for s in range(20):
         yield f"random-witness {s}", witness, (ac.gen_random(13 + s % 8, s, 0.3),)
+    for name, neighbors in (("blue-apex", None), ("pendant", (1,))):
+        for n in range(4, 13):
+            for seed in range(3):
+                g = fx.blue_apex(n, seed, neighbors)
+                yield f"{name} {n} {seed}", witness, (g,)
+                if n <= 8:
+                    ends = permutations(range(g.n), 2)
+                    for (x, y), first, last in product(ends, ac.Color, ac.Color):
+                        key = f"{name} {n} {seed} path {x} {y} {first.value}{last.value}"
+                        yield key, ac.exists_alternating_path, (g, x, y, first, last)
     for n in range(4, 81, 2):
         for seed in range(3):
             yield f"complete {n} {seed}", solve, (ac.gen_complete(n, seed),)
