@@ -172,14 +172,19 @@ def exists_alternating_path(
     search is a DFS over simple paths with the color schedule fixed, on an
     explicit stack, trying neighbors lowest first. Every path it returns
     enters y by an edge of color `last`, so when y has no such edge the
-    answer is None without a search.
+    answer is None without a search. Inside the search the same rule skips
+    a vertex u once every `last`-colored neighbor of y is on the path or is
+    u, unless u's own next edge is `last`-colored and reaches y: no path
+    through that branch ends at y, so the search returns the same paths as
+    one without the rule.
     """
     if x == y:
         raise ValueError("endpoints must differ")
     g.check_vertices(x, y)
     adj = (g.masks(BLUE), g.masks(RED))
     need, want = first is RED, last is RED  # color indices into adj
-    if not adj[want][y]:
+    ends = adj[want][y]  # the vertices that can precede y
+    if not ends:
         return None
     path = [x]
     on_path = 1 << x
@@ -198,6 +203,8 @@ def exists_alternating_path(
         if u == y:
             if need == want:
                 return AltPath(tuple(path) + (y,), alternating(first, len(path)))
+            continue
+        if not ends & ~(on_path | low) and not (need != want and ends & low):
             continue
         path.append(u)
         on_path |= low
@@ -229,8 +236,9 @@ def color_connectivity_witness(g: ColoredMultigraph) -> ColorConnectivityWitness
     Every subpath of an alternating path is alternating, so every subpath
     of every path a search returns is recorded in one table for the call,
     and a query the table answers is True without a search. False comes
-    from the module global `exists_alternating_path`: from its search, or
-    at once when y has no edge of the last color.
+    from the module global `exists_alternating_path`: from its search, which
+    skips every branch that can no longer end at y, or at once when y has
+    no edge of the last color.
     The table keeps each pair once, under its smaller endpoint a, in 4n
     ints, row a of at most n - a - 1 bits: at most 2n*n bits, n*n/4 bytes,
     as the graph's masks take.

@@ -4,14 +4,41 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import signal
 import sys
 from itertools import combinations
 from pathlib import Path
+
+import pytest
 
 import altcycles as ac
 from altcycles import BLUE, RED, AltCycle, Color, ColoredMultigraph
 from altcycles.cycles import cycle_from_vertex_sequence
 from altcycles.graph import alternating, bits
+
+# far above the slowest test (about 9 s on a two-vCPU host), so only a
+# search gone exponential reaches it
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past TEST_TIME_LIMIT_S instead of hanging the
+    suite, where the platform has SIGALRM."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past its {TEST_TIME_LIMIT_S} s limit", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def ring(g: ColoredMultigraph, offset: int, half: int, first=BLUE) -> AltCycle:

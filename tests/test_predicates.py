@@ -206,17 +206,21 @@ def test_color_connectivity_witness_fields():
 
 def test_target_without_an_edge_of_the_last_color_needs_no_search():
     # vertex 40 has blue edges only: no path ends at it in red, and a search
-    # for one would walk every alternating path of the complete coloring
-    g = blue_apex(40, 1)
-    w = color_connectivity_witness(g)
-    assert (w.x, w.y) == (0, 40)
-    assert w.existence == {
-        (BLUE, BLUE): True,
-        (BLUE, RED): False,
-        (RED, BLUE): True,
-        (RED, RED): False,
-    }
-    assert ac.exists_alternating_path(g, 0, 40, RED, RED) is None
+    # for one would walk every alternating path of the complete coloring.
+    # The pendant's one edge is blue, to vertex 1, so a path that reaches 40
+    # steps there from 1; the search skips each branch through 1 that does
+    # not, and without that it walks them all
+    for neighbors in (None, (1,)):
+        g = blue_apex(40, 1, neighbors)
+        w = color_connectivity_witness(g)
+        assert (w.x, w.y) == (0, 40)
+        assert w.existence == {
+            (BLUE, BLUE): True,
+            (BLUE, RED): False,
+            (RED, BLUE): True,
+            (RED, RED): False,
+        }
+        assert ac.exists_alternating_path(g, 0, 40, RED, RED) is None
 
 
 def test_witness_runs_only_the_searches_its_verdict_needs(monkeypatch):
