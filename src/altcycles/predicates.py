@@ -8,6 +8,8 @@ from typing import NamedTuple
 
 from .graph import BLUE, RED, Color, ColoredMultigraph, alternating, bits
 
+_COLORS = (BLUE, RED)  # indexed by `color is RED`
+
 
 class TwoPath(NamedTuple):
     """A 2-path (x1, x2, x3) with edge colors c1 = [x1,x2], c2 = [x2,x3];
@@ -177,6 +179,15 @@ def exists_alternating_path(
     u, unless u's own next edge is `last`-colored and reaches y: no path
     through that branch ends at y, so the search returns the same paths as
     one without the rule.
+
+    After each backtrack, the first vertex u that passes that rule is also
+    tested by `_walk_reaches`, in O(n) mask operations: u is skipped when no
+    alternating walk leaves u by its next color, enters no path vertex and
+    not u, and enters y by a `last`-colored edge. A path is such a walk, so
+    this check keeps the same paths too. It runs once per backtrack, not per
+    push: a backtrack is where a search that walks the same dead branches
+    over and over (around the rings of `gen_counterexample`) is cut short,
+    and a check at every push costs more than it saves on small graphs.
     """
     if x == y:
         raise ValueError("endpoints must differ")
@@ -190,12 +201,14 @@ def exists_alternating_path(
     on_path = 1 << x
     # per path vertex, its untried neighbors in the color its next edge needs
     untried = [adj[need][x] & ~on_path]
+    walk_check = False  # whether the next vertex to pass the rule gets the walk test
     while untried:
         cand = untried[-1]
         if not cand:
             untried.pop()
             on_path ^= 1 << path.pop()
             need = not need
+            walk_check = True
             continue
         low = cand & -cand
         untried[-1] = cand ^ low
@@ -206,11 +219,41 @@ def exists_alternating_path(
             continue
         if not ends & ~(on_path | low) and not (need != want and ends & low):
             continue
+        if walk_check:
+            walk_check = False
+            if not _walk_reaches(adj, u, not need, on_path | low | 1 << y, ends, want):
+                continue
         path.append(u)
         on_path |= low
         need = not need
         untried.append(adj[need][u] & ~on_path)
     return None
+
+
+def _walk_reaches(
+    adj: tuple[list[int], list[int]], u: int, c: bool, avoid: int, ends: int, want: bool
+) -> bool:
+    """Whether an alternating walk leaves u by an edge of color index c,
+    enters no vertex of `avoid` and reaches a vertex of `ends` with its next
+    edge of color index `want`, in O(n) mask operations.
+
+    The walk's states are (vertex, color of its next edge), and every state
+    at distance d from (u, c) has color c ^ d % 2, so a breadth-first search
+    keeps one frontier mask and one seen mask per color."""
+    front, seen = 1 << u, [0, 0]
+    seen[c] = front
+    while front:
+        if c == want and front & ends:
+            return True
+        step = 0
+        while front:
+            low = front & -front
+            front ^= low
+            step |= adj[c][low.bit_length() - 1]
+        c = not c
+        front = step & ~(avoid | seen[c])
+        seen[c] |= front
+    return False
 
 
 @dataclass(frozen=True)
@@ -237,8 +280,12 @@ def color_connectivity_witness(g: ColoredMultigraph) -> ColorConnectivityWitness
     of every path a search returns is recorded in one table for the call,
     and a query the table answers is True without a search. False comes
     from the module global `exists_alternating_path`: from its search, which
-    skips every branch that can no longer end at y, or at once when y has
-    no edge of the last color.
+    skips every branch that can no longer end at y and, after each
+    backtrack, one whose alternating walks cannot reach y; or at once when
+    y has no edge of the last color.
+    Each pair keeps its answers in a four-slot list keyed 2*f + l, f and l
+    the indices `color is RED`; only the witness returned gets its table
+    keyed by `Color` pairs.
     The table keeps each pair once, under its smaller endpoint a, in 4n
     ints, row a of at most n - a - 1 bits: at most 2n*n bits, n*n/4 bytes,
     as the graph's masks take.
@@ -246,26 +293,29 @@ def color_connectivity_witness(g: ColoredMultigraph) -> ColorConnectivityWitness
     # known[f][l][a], indices `color is RED`, has bit b - a - 1 set when an
     # alternating a-b path, a < b, with first color f and last color l is known
     known = [[[0] * g.n for _ in range(2)] for _ in range(2)]
+
+    def found(ex: list[bool | None], x: int, y: int, k: int) -> bool:
+        # whether the pair has a path of key k = 2*f + l, answered once into ex
+        if ex[k] is None:
+            ex[k] = bool(known[k >> 1][k & 1][x] >> (y - x - 1) & 1)
+            if not ex[k]:
+                path = exists_alternating_path(g, x, y, _COLORS[k >> 1], _COLORS[k & 1])
+                if path is not None:
+                    _record_subpaths(known, path)
+                    ex[k] = True
+        return ex[k]
+
     for x in range(g.n):
         for y in range(x + 1, g.n):
-            ex: dict[tuple[Color, Color], bool] = {}
-
-            def found(first: Color, last: Color) -> bool:
-                if (first, last) not in ex:
-                    ok = bool(known[first is RED][last is RED][x] >> (y - x - 1) & 1)
-                    if not ok:
-                        path = exists_alternating_path(g, x, y, first, last)
-                        if path is not None:
-                            _record_subpaths(known, path)
-                            ok = True
-                    ex[(first, last)] = ok
-                return ex[(first, last)]
-
-            if (found(BLUE, BLUE) and found(RED, RED)) or (
-                found(BLUE, RED) and found(RED, BLUE)
+            ex: list[bool | None] = [None] * 4
+            # BB (key 0) and RR (3), else BR (1) and RB (2)
+            if (found(ex, x, y, 0) and found(ex, x, y, 3)) or (
+                found(ex, x, y, 1) and found(ex, x, y, 2)
             ):
                 continue
-            table = {(f, l): found(f, l) for f in Color for l in Color}
+            table = {
+                (f, l): found(ex, x, y, 2 * (f is RED) + (l is RED)) for f in Color for l in Color
+            }
             return ColorConnectivityWitness(x, y, table)
     return None
 

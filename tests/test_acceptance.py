@@ -47,6 +47,10 @@ def test_criterion_2_counterexample_family():
         factor = ac.find_alternating_cycle_factor(g)
         assert factor is not None and ac.validate_factor(g, factor), (k1, k2)
         assert ac.oracle_hamiltonian(g) is None, (k1, k2)
+    # color-connectivity at 96 vertices, past the exhaustive oracle's reach:
+    # the path search finds each path without walking the 2^24 equivalent
+    # dead branches around the rings
+    assert ac.is_color_connected(ac.gen_counterexample(24, 24))
     print(f"\nPASS criterion 2: all {len(cases)} counterexample instances verified")
 
 

@@ -311,6 +311,21 @@ def test_table_records_exactly_the_subpaths_of_each_path():
     assert records > 1000
 
 
+def test_recorder_sets_one_entry_per_subpath_of_random_paths():
+    # alternating paths need no graph here: any distinct vertices, either
+    # first color, up to 70 vertices so rows span several machine words
+    rng = random.Random(30)
+    for _ in range(400):
+        n = rng.randint(2, 70)
+        vs = rng.sample(range(n), rng.randint(2, n))
+        path = AltPath(tuple(vs), alternating(rng.choice((BLUE, RED)), len(vs) - 1))
+        known = [[[0] * n for _ in range(2)] for _ in range(2)]
+        predicates._record_subpaths(known, path)
+        entries = sum(bin(row).count("1") for table in known for rows in table for row in rows)
+        assert entries == len(vs) * (len(vs) - 1) // 2
+        assert known_paths(known) == subpaths(path)
+
+
 def eager_color_connectivity_witness(g):
     """Reference: the witness with all four searches run for every pair."""
     for x in range(g.n):

@@ -16,7 +16,7 @@ and offenders. A graph result is hashed as its text serialization.
 entries whose digests differ or that only one side has, with both sides'
 labels, and exits 1 if there is any.
 
-The corpus, 60,362 entries:
+The corpus, 61,860 entries:
 - planted seeds 0-5999 through `solve_from_factor`, in both cycle orders,
   and through `solve_hamiltonian`;
 - seeds 0-1499 of those through `oracle_hamiltonian`, and `merge_pair`
@@ -27,9 +27,12 @@ The corpus, 60,362 entries:
   fallback), and those with n <= 10 through `oracle_hamiltonian`,
   `oracle_factor(g)` and `oracle_factor(g, allow_two_cycles=False)`; its
   color-connected pools of seeds 1-3, through `color_connectivity_witness`;
-- `gen_counterexample(k1, k2)` for 2 <= k1 <= k2 <= 5 and for
-  6 <= k1 <= k2 <= 8, and `gen_random(13 + s % 8, s, 0.3)` for s 0-19,
-  through `color_connectivity_witness`;
+- `gen_counterexample(k1, k2)` for 2 <= k1 <= k2 <= 5, for
+  6 <= k1 <= k2 <= 8 and for 9 <= k1 <= k2 <= 12, and
+  `gen_random(13 + s % 8, s, 0.3)` for s 0-19, through
+  `color_connectivity_witness`; `gen_counterexample(3, 3)` and `(4, 4)`
+  through `exists_alternating_path` on every ordered pair and end color
+  pair;
 - `gen_complete(n, s)` plus a vertex n joined in blue to every other
   vertex (blue apex) or to vertex 1 alone (pendant), for n 4-12 and s 0-2,
   through `color_connectivity_witness`, and those with n <= 8 through
@@ -113,10 +116,15 @@ def entries(ac, fx):
                 yield f"oracle-factor 2-cycles {seed} {k}", oracle_factor, (g, True)
         for k, g in enumerate(fx.color_connected_graphs(seed)):
             yield f"color-connected {seed} {k}", witness, (g,)
-    for lo, hi in ((2, 5), (6, 8)):
+    for lo, hi in ((2, 5), (6, 8), (9, 12)):
         for k1 in range(lo, hi + 1):
             for k2 in range(k1, hi + 1):
                 yield f"counterexample {k1} {k2}", witness, (ac.gen_counterexample(k1, k2),)
+    for k in (3, 4):
+        g = ac.gen_counterexample(k, k)
+        for (x, y), first, last in product(permutations(range(g.n), 2), ac.Color, ac.Color):
+            key = f"counterexample {k} {k} path {x} {y} {first.value}{last.value}"
+            yield key, ac.exists_alternating_path, (g, x, y, first, last)
     for s in range(20):
         yield f"random-witness {s}", witness, (ac.gen_random(13 + s % 8, s, 0.3),)
     for name, neighbors in (("blue-apex", None), ("pendant", (1,))):
