@@ -188,6 +188,14 @@ def exists_alternating_path(
     push: a backtrack is where a search that walks the same dead branches
     over and over (around the rings of `gen_counterexample`) is cut short,
     and a check at every push costs more than it saves on small graphs.
+
+    A simple path takes fewer than n pushes, so a search at its n-th push
+    has backtracked. It then runs the walk test once on x itself, from its
+    first color, and returns None if no walk reaches y. The test after a
+    backtrack sees only the first sibling, so without this a search whose
+    every branch is dead (y's `last`-colored neighbors reachable only
+    through y) lists every alternating path of the rest; a search that
+    ends within n pushes does not pay for it.
     """
     if x == y:
         raise ValueError("endpoints must differ")
@@ -202,6 +210,7 @@ def exists_alternating_path(
     # per path vertex, its untried neighbors in the color its next edge needs
     untried = [adj[need][x] & ~on_path]
     walk_check = False  # whether the next vertex to pass the rule gets the walk test
+    pushes = 0
     while untried:
         cand = untried[-1]
         if not cand:
@@ -227,6 +236,9 @@ def exists_alternating_path(
         on_path |= low
         need = not need
         untried.append(adj[need][u] & ~on_path)
+        pushes += 1
+        if pushes == g.n and not _walk_reaches(adj, x, first is RED, 1 << x | 1 << y, ends, want):
+            return None
     return None
 
 
@@ -281,8 +293,9 @@ def color_connectivity_witness(g: ColoredMultigraph) -> ColorConnectivityWitness
     and a query the table answers is True without a search. False comes
     from the module global `exists_alternating_path`: from its search, which
     skips every branch that can no longer end at y and, after each
-    backtrack, one whose alternating walks cannot reach y; or at once when
-    y has no edge of the last color.
+    backtrack, one whose alternating walks cannot reach y, and which stops
+    at its n-th push when no walk from x reaches y; or at once when y has
+    no edge of the last color.
     Each pair keeps its answers in a four-slot list keyed 2*f + l, f and l
     the indices `color is RED`; only the witness returned gets its table
     keyed by `Color` pairs.
@@ -325,18 +338,34 @@ def _record_subpaths(known: list[list[list[int]]], path: AltPath) -> None:
     table, in O(len(path)) mask operations."""
     vs = path.vertices
     k0 = int(path.colors[0] is RED)  # edge k, [vs[k], vs[k+1]], has index k0 ^ k % 2
-    ends = [0, 0]  # the vertices at even and at odd positions
+    # the rows by (first, last) index, s for k0 and o for 1 - k0; an odd
+    # position writes the rows an even one does, in reverse order
+    ss, so = known[k0][k0], known[k0][1 - k0]
+    os_, oo = known[1 - k0][k0], known[1 - k0][1 - k0]
+    # the vertices at even and at odd positions from position i on, and before it
+    even_after = odd_after = even_before = odd_before = 0
+    for v in vs[0::2]:
+        even_after |= 1 << v
+    for v in vs[1::2]:
+        odd_after |= 1 << v
     for i, v in enumerate(vs):
-        ends[i % 2] |= 1 << v
-    before = [0, 0]  # the same, before position i
-    for i, v in enumerate(vs):
-        p = i % 2
-        for q in (0, 1):
-            # to vs[j], j > i, j % 2 == q: first edge i, last edge j - 1
-            known[k0 ^ p][k0 ^ 1 ^ q][v] |= (ends[q] ^ before[q]) >> (v + 1)
-            # back to vs[j], j < i: first edge i - 1, last edge j
-            known[k0 ^ 1 ^ p][k0 ^ q][v] |= before[q] >> (v + 1)
-        before[p] |= 1 << v
+        low, shift = 1 << v, v + 1
+        # to vs[j], j > i: first edge i, last edge j - 1; back to vs[j], j < i:
+        # first edge i - 1, last edge j. v's own bit shifts out
+        if i & 1:
+            oo[v] |= even_after >> shift
+            os_[v] |= odd_after >> shift
+            ss[v] |= even_before >> shift
+            so[v] |= odd_before >> shift
+            odd_after ^= low
+            odd_before |= low
+        else:
+            so[v] |= even_after >> shift
+            ss[v] |= odd_after >> shift
+            os_[v] |= even_before >> shift
+            oo[v] |= odd_before >> shift
+            even_after ^= low
+            even_before |= low
 
 
 def is_color_connected(g: ColoredMultigraph) -> bool:

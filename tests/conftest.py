@@ -199,6 +199,28 @@ def blue_apex(n: int, seed: int, neighbors=None) -> ColoredMultigraph:
     return g
 
 
+def gate_gadget(m: int, seed: int, gate_first: bool) -> ColoredMultigraph:
+    """`gen_complete(m, seed)` plus a 5-vertex gadget on m..m+4, joined to it
+    only by the red edge from m - 1 to the gate a: a-c and a-y in both
+    colors, b-c red, b-d blue, c-d red. The target y is numbered m + 4 and
+    a m if `gate_first`, else the two swap; b, c, d are m+1..m+3.
+
+    b, c and d lie behind a, so no path from the complete part enters a in
+    blue, and none enters y in red, which needs a entered in blue; an
+    alternating walk does both, round c, b, d, c. The witness fails at
+    (0, m) either way: gate-first BB and RB, target-first BR and RR."""
+    a, y = (m, m + 4) if gate_first else (m + 4, m)
+    b, c, d = m + 1, m + 2, m + 3
+    g = ac.empty(m + 5)
+    for u, v, color in ac.gen_complete(m, seed).edges():
+        g.add_edge(u, v, color)
+    g.add_edge(m - 1, a, RED)
+    for u, v, colors in ((a, c, "BR"), (a, y, "BR"), (b, c, "R"), (b, d, "B"), (c, d, "R")):
+        for letter in colors:
+            g.add_edge(u, v, Color.from_letter(letter))
+    return g
+
+
 def small_corpus(count: int, sizes=range(4, 9), seed0: int = 0):
     """Deterministic mix of complete-random and closed-up random graphs."""
     out = []

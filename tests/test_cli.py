@@ -15,6 +15,7 @@ from conftest import (
     G8b,
     assert_no_alternating_path,
     blue_apex,
+    gate_gadget,
     not_color_connected_graph,
     ring,
     triangle_graph,
@@ -94,6 +95,16 @@ def test_check_color_connected_target_without_a_red_edge(capsys, write_graph):
         code, out, err = run(capsys, "check", "--predicate", "color-connected", path)
         assert (code, err) == (1, "")
         assert out.splitlines()[:2] == ["false", "witness pair 0 40"]
+
+
+def test_check_color_connected_gate_first_gadget(capsys, write_graph):
+    # (0, 40) fails: no path enters the gate 40 in blue, since its blue
+    # neighbors lie behind it. A search for one that did not test vertex 0's
+    # own walks would list every alternating path of the complete coloring
+    path = write_graph(gate_gadget(40, 1, gate_first=True))
+    code, out, err = run(capsys, "check", "--predicate", "color-connected", path)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[:2] == ["false", "witness pair 0 40"]
 
 
 def test_check_color_connected_searches_only_what_the_verdict_needs(capsys, write_graph):

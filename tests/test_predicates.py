@@ -16,7 +16,7 @@ from altcycles.predicates import (
     color_connectivity_witness,
     open_two_paths,
 )
-from conftest import blue_apex, not_color_connected_graph, ring, small_corpus
+from conftest import blue_apex, gate_gadget, not_color_connected_graph, ring, small_corpus
 
 
 def path_graph(*colors):
@@ -221,6 +221,34 @@ def test_target_without_an_edge_of_the_last_color_needs_no_search():
             (RED, RED): False,
         }
         assert ac.exists_alternating_path(g, 0, 40, RED, RED) is None
+
+
+def test_gate_gadget_witness():
+    # gate-first: the failing pair is (0, 20), 20 the gate. Its blue
+    # neighbors lie behind it, so no path ends at it in blue, but the search
+    # for one tests only the first sibling after each backtrack and, without
+    # the test of x at its n-th push, walks every alternating path of the
+    # complete coloring on 0..19
+    g = gate_gadget(20, 1, gate_first=True)
+    w = color_connectivity_witness(g)
+    assert (w.x, w.y) == (0, 20)
+    assert w.existence == {
+        (BLUE, BLUE): False,
+        (BLUE, RED): True,
+        (RED, BLUE): False,
+        (RED, RED): True,
+    }
+    # target-first, kept small: walks from x reach the target in red, round
+    # the gadget's c, b, d, c, so the BR and RR searches are still exponential
+    g = gate_gadget(9, 1, gate_first=False)
+    w = color_connectivity_witness(g)
+    assert (w.x, w.y) == (0, 9)
+    assert w.existence == {
+        (BLUE, BLUE): True,
+        (BLUE, RED): False,
+        (RED, BLUE): True,
+        (RED, RED): False,
+    }
 
 
 def test_witness_runs_only_the_searches_its_verdict_needs(monkeypatch):

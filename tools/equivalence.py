@@ -16,7 +16,7 @@ and offenders. A graph result is hashed as its text serialization.
 entries whose digests differ or that only one side has, with both sides'
 labels, and exits 1 if there is any.
 
-The corpus, 61,860 entries:
+The corpus, 63,324 entries:
 - planted seeds 0-5999 through `solve_from_factor`, in both cycle orders,
   and through `solve_hamiltonian`;
 - seeds 0-1499 of those through `oracle_hamiltonian`, and `merge_pair`
@@ -36,6 +36,11 @@ The corpus, 61,860 entries:
 - `gen_complete(n, s)` plus a vertex n joined in blue to every other
   vertex (blue apex) or to vertex 1 alone (pendant), for n 4-12 and s 0-2,
   through `color_connectivity_witness`, and those with n <= 8 through
+  `exists_alternating_path` on every ordered pair and end color pair;
+- `gate_gadget(m, 1, gate_first)`, a 5-vertex gadget hung off
+  `gen_complete(m, 1)`, for m 9-13 gate-first and m 9-11 target-first
+  through `color_connectivity_witness` (from m = 9 on, the witness pair is
+  the gadget's own (0, m)), and both m = 9 instances through
   `exists_alternating_path` on every ordered pair and end color pair;
 - `gen_complete` for even n 4-80 and seeds 0-2, through
   `solve_hamiltonian`;
@@ -137,6 +142,15 @@ def entries(ac, fx):
                     for (x, y), first, last in product(ends, ac.Color, ac.Color):
                         key = f"{name} {n} {seed} path {x} {y} {first.value}{last.value}"
                         yield key, ac.exists_alternating_path, (g, x, y, first, last)
+    for name, gate_first, top in (("gate-first", True, 13), ("target-first", False, 11)):
+        for m in range(9, top + 1):
+            g = fx.gate_gadget(m, 1, gate_first)
+            yield f"{name} {m}", witness, (g,)
+            if m == 9:
+                ends = permutations(range(g.n), 2)
+                for (x, y), first, last in product(ends, ac.Color, ac.Color):
+                    key = f"{name} {m} path {x} {y} {first.value}{last.value}"
+                    yield key, ac.exists_alternating_path, (g, x, y, first, last)
     for n in range(4, 81, 2):
         for seed in range(3):
             yield f"complete {n} {seed}", solve, (ac.gen_complete(n, seed),)
