@@ -173,12 +173,13 @@ def exists_alternating_path(
     Colors along an alternating path are forced by the first edge, so the
     search is a DFS over simple paths with the color schedule fixed, on an
     explicit stack, trying neighbors lowest first. Every path it returns
-    enters y by an edge of color `last`, so when y has no such edge the
-    answer is None without a search. Inside the search the same rule skips
-    a vertex u once every `last`-colored neighbor of y is on the path or is
-    u, unless u's own next edge is `last`-colored and reaches y: no path
-    through that branch ends at y, so the search returns the same paths as
-    one without the rule.
+    enters y by an edge of color `last`, so the search skips a vertex u once
+    every `last`-colored neighbor of y is on the path or is u, unless u's
+    own next edge is `last`-colored and reaches y: no path through that
+    branch ends at y, so the search returns the same paths as one without
+    the rule. When y has no `last`-colored edge, no path ends at y and the
+    rule skips every other vertex, so the answer is None before the first
+    push.
 
     After each backtrack, the first vertex u that passes that rule is also
     tested by `_walk_reaches`, in O(n) mask operations: u is skipped when no
@@ -203,8 +204,6 @@ def exists_alternating_path(
     adj = (g.masks(BLUE), g.masks(RED))
     need, want = first is RED, last is RED  # color indices into adj
     ends = adj[want][y]  # the vertices that can precede y
-    if not ends:
-        return None
     path = [x]
     on_path = 1 << x
     # per path vertex, its untried neighbors in the color its next edge needs
@@ -294,8 +293,7 @@ def color_connectivity_witness(g: ColoredMultigraph) -> ColorConnectivityWitness
     from the module global `exists_alternating_path`: from its search, which
     skips every branch that can no longer end at y and, after each
     backtrack, one whose alternating walks cannot reach y, and which stops
-    at its n-th push when no walk from x reaches y; or at once when y has
-    no edge of the last color.
+    at its n-th push when no walk from x reaches y.
     Each pair keeps its answers in a four-slot list keyed 2*f + l, f and l
     the indices `color is RED`; only the witness returned gets its table
     keyed by `Color` pairs.

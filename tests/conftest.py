@@ -199,6 +199,14 @@ def blue_apex(n: int, seed: int, neighbors=None) -> ColoredMultigraph:
     return g
 
 
+def both_colored_ring(n: int) -> ColoredMultigraph:
+    """The cycle 0, 1, ..., n - 1 with every edge in both colors."""
+    g = ac.empty(n)
+    for v in range(n):
+        g.add_edge(v, (v + 1) % n, BLUE).add_edge(v, (v + 1) % n, RED)
+    return g
+
+
 def gate_gadget(m: int, seed: int, gate_first: bool) -> ColoredMultigraph:
     """`gen_complete(m, seed)` plus a 5-vertex gadget on m..m+4, joined to it
     only by the red edge from m - 1 to the gate a: a-c and a-y in both

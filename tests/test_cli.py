@@ -15,6 +15,7 @@ from conftest import (
     G8b,
     assert_no_alternating_path,
     blue_apex,
+    both_colored_ring,
     gate_gadget,
     not_color_connected_graph,
     ring,
@@ -42,13 +43,6 @@ def run(capsys, *argv):
 def ring_graph(half=3):
     g = ac.empty(2 * half)
     ring(g, 0, half)
-    return g
-
-
-def both_colored_ring(n):
-    g = ac.empty(n)
-    for v in range(n):
-        g.add_edge(v, (v + 1) % n, BLUE).add_edge(v, (v + 1) % n, RED)
     return g
 
 
