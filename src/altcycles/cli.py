@@ -3,6 +3,7 @@ oracles, and DOT export."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import generate, oracles
@@ -31,6 +32,7 @@ EXIT_NOT_2M_CLOSED = 4
 EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_SOFTWARE = 70
+EXIT_IO = 74
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 64, not argparse's 2
@@ -245,7 +247,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+        return code
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        # point stdout at devnull, so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except SystemExit as exc:  # usage errors and unreadable input
         return exc.code if exc.code is not None else EXIT_USAGE
     except ParseError as exc:

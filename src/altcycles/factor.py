@@ -4,19 +4,33 @@ A spanning subgraph in which every vertex has exactly one blue and one red
 incident edge is an alternating cycle factor, so a factor is a perfect
 matching of the blue graph together with a perfect matching of the red
 graph (a blue and a red edge on the same pair make a 2-cycle).
+
+Each color is matched first on a bounded-degree spanning subgraph, in which
+every vertex keeps only its first `CAP` edges to higher-numbered neighbours.
+A perfect matching of that subgraph is one of the whole graph, so the factor
+stays exact; all edges of the color are matched only when the subgraph has
+no perfect matching. On dense graphs the subgraph has about half the edges
+or fewer, and networkx's matching time grows with the edge count.
 """
 from __future__ import annotations
+
+from itertools import islice
 
 import networkx as nx
 
 from .cycles import AltCycle, decode_cycles
 from .graph import BLUE, RED, Color, ColoredMultigraph, bits, reachable
 
+# higher-numbered neighbours per vertex in the first, capped matching; a
+# graph of at most CAP + 1 vertices is never capped
+CAP = 16
+
 
 def maximum_matching(edges: list[tuple[int, int]], n: int) -> list[int | None]:
     """Each vertex's partner in a maximum-cardinality matching of the plain
-    graph on 0..n-1 with these edges, None where unmatched. The edges come
-    from `_edges(g, color)`, so every endpoint is in range."""
+    graph on 0..n-1 with these edges, None where unmatched. The edges, u < v
+    and ascending, come from `_perfect_matching`: all edges of one color or
+    its capped subgraph, so every endpoint is in range."""
     h = nx.Graph()
     h.add_nodes_from(range(n))
     h.add_edges_from(edges)
@@ -28,13 +42,6 @@ def maximum_matching(edges: list[tuple[int, int]], n: int) -> list[int | None]:
     # collection
     h.clear()
     return partner
-
-
-def _edges(g: ColoredMultigraph, color: Color) -> list[tuple[int, int]]:
-    """The (u, v) pairs, u < v, of the edges of `color`, ascending."""
-    return [
-        (u, v) for u, mask in enumerate(g.masks(color)) for v in bits(mask >> (u + 1) << (u + 1))
-    ]
 
 
 def find_alternating_cycle_factor(g: ColoredMultigraph) -> tuple[AltCycle, ...] | None:
@@ -60,12 +67,30 @@ def _two_matchings(
     when either matching is not perfect."""
     if _odd_component(g, BLUE) or _odd_component(g, RED):
         return None
-    taken = maximum_matching(_edges(g, first), g.n)
-    if None in taken:
+    taken = _perfect_matching(g, first, None)
+    if taken is None:
         return None
-    rest = [(u, v) for u, v in _edges(g, first.other) if not disjoint or taken[u] != v]
-    partner = {first: taken, first.other: maximum_matching(rest, g.n)}
-    return None if None in partner[first.other] else decode_cycles(partner, g.n)
+    rest = _perfect_matching(g, first.other, taken if disjoint else None)
+    return None if rest is None else decode_cycles({first: taken, first.other: rest}, g.n)
+
+
+def _perfect_matching(
+    g: ColoredMultigraph, color: Color, taken: list[int] | None
+) -> list[int] | None:
+    """Each vertex's partner in a perfect matching of the edges of `color`,
+    less the pairs that `taken` matches; None when there is none. Each
+    vertex's row holds its higher neighbours; the rows capped at `CAP` are
+    matched first, unless the cap would leave every row whole."""
+    rows = [mask >> (u + 1) << (u + 1) for u, mask in enumerate(g.masks(color))]
+    if taken is not None:
+        rows = [row & ~(1 << v) for row, v in zip(rows, taken)]
+    if any(row.bit_count() > CAP for row in rows):
+        capped = [(u, v) for u, row in enumerate(rows) for v in islice(bits(row), CAP)]
+        partner = maximum_matching(capped, g.n)
+        if None not in partner:
+            return partner
+    partner = maximum_matching([(u, v) for u, row in enumerate(rows) for v in bits(row)], g.n)
+    return None if None in partner else partner
 
 
 def _odd_component(g: ColoredMultigraph, color: Color) -> bool:

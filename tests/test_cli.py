@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +292,26 @@ def test_deep_exhaustive_search_exits_70(capsys, write_graph, argv):
         assert code == 70
         assert out == ""
         assert err == "error: exhaustive search exceeded the recursion limit\n"
+
+
+def test_closed_stdout_pipe_exits_74_without_a_traceback(write_graph):
+    # the pipe's read end is closed before the process starts, as `| head`
+    # closes it early, so the first write fails with EPIPE
+    path = write_graph(ac.gen_complete(40, 1))
+    env = {**os.environ, "PYTHONPATH": str(Path(ac.__file__).resolve().parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "altcycles.cli", "solve", path],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (74, b"")
 
 
 def test_oracle_factor_recurses_once_per_chosen_pair(capsys, write_graph):

@@ -8,7 +8,7 @@ import pytest
 
 import altcycles as ac
 from altcycles import BLUE, RED, factor
-from conftest import complete_coloring, ring
+from conftest import complete_coloring, planted_instance, ring
 
 
 def brute_max_matching_size(edges, nodes):
@@ -199,3 +199,91 @@ def test_factor_existence_matches_oracle_on_closures(color):
         else:
             matched += 1
     assert screened and matched and found
+
+
+def record_matchings(monkeypatch):
+    """Replace `factor.maximum_matching` by a wrapper that records, per
+    call, the edge count and whether the matching was perfect."""
+    calls = []
+    real = factor.maximum_matching
+
+    def recorded(edges, n):
+        partner = real(edges, n)
+        calls.append((len(edges), None not in partner))
+        return partner
+
+    monkeypatch.setattr(factor, "maximum_matching", recorded)
+    return calls
+
+
+def test_capped_matching_falls_back_to_the_whole_color(monkeypatch):
+    # blue is K_{20,20} between 0..19 and 20..39: capped at 16 higher
+    # neighbours, the rows of 0..19 stop at 35 and leave 36..39 unmatched;
+    # red is a perfect matching inside the sides, so no pair is 2-colored
+    g = ac.empty(40)
+    for u in range(20):
+        for v in range(20, 40):
+            g.add_edge(u, v, BLUE)
+    for u in range(0, 40, 2):
+        g.add_edge(u, u + 1, RED)
+    calls = record_matchings(monkeypatch)
+    f = ac.find_alternating_cycle_factor(g)
+    assert f is not None and ac.validate_factor(g, f)
+    assert calls == [(20 * factor.CAP, False), (400, True), (20, True)]
+    calls.clear()
+    f = ac.find_factor_without_two_cycles(g)
+    assert f is not None and ac.validate_factor(g, f)
+    assert all(len(c) > 2 for c in f)
+    assert calls == [(20 * factor.CAP, False), (400, True), (20, True)]
+
+
+def reference_factor_exists(g, first=BLUE, disjoint=False):
+    """Whether a perfect matching of `first`'s edges and one of the other
+    color's, less the pairs of the first if `disjoint`, exist, with both
+    matchings taken on all of a color's edges."""
+    taken = factor.maximum_matching([(u, v) for u, v, c in g.edges() if c is first], g.n)
+    if None in taken:
+        return False
+    rest = [
+        (u, v) for u, v, c in g.edges() if c is first.other and not (disjoint and taken[u] == v)
+    ]
+    return None not in factor.maximum_matching(rest, g.n)
+
+
+def dense_graphs():
+    """Seeded complete colorings of 18-64 vertices, 2-M closures of random
+    graphs of 18-42 vertices (a closure of 64 takes seconds), and planted
+    instances."""
+    for n in range(18, 65, 2):
+        yield ac.gen_complete(n, n)
+    for n in range(18, 43, 4):
+        yield ac.closure_2m(ac.gen_random(n, n, (0.3, 0.45, 0.6)[n % 3]), n)
+    for seed in range(20):
+        yield planted_instance(seed)[0]
+
+
+def test_capped_factor_existence_matches_whole_color_reference():
+    capped = 0
+    for g in dense_graphs():
+        f = ac.find_alternating_cycle_factor(g)
+        assert (f is not None) == reference_factor_exists(g), ac.serialize_text(g)
+        assert f is None or ac.validate_factor(g, f)
+        f = ac.find_factor_without_two_cycles(g)
+        want = reference_factor_exists(g, BLUE, True) or reference_factor_exists(g, RED, True)
+        assert (f is not None) == want, ac.serialize_text(g)
+        assert f is None or (ac.validate_factor(g, f) and all(len(c) > 2 for c in f))
+        capped += any(
+            (mask >> (u + 1)).bit_count() > factor.CAP
+            for color in (BLUE, RED)
+            for u, mask in enumerate(g.masks(color))
+        )
+    assert capped >= 20
+
+
+def test_dense_factor_matches_capped_subgraphs(monkeypatch):
+    calls = record_matchings(monkeypatch)
+    for seed in range(2):
+        g = ac.gen_complete(200, seed)
+        f = ac.find_alternating_cycle_factor(g)
+        assert f is not None and ac.validate_factor(g, f)
+    assert calls and all(size <= 16 * 200 for size, perfect in calls if perfect)

@@ -47,6 +47,7 @@ fixture gate.txt 'gate_gadget(200, 1, True)'
 build closure40.txt 30 altcycles generate --family closure-2m --n 40 --density 0.1 --seed 3
 build complete1001.txt 30 altcycles generate --family complete-random --n 1001 --seed 1
 build complete100.txt 30 altcycles generate --family complete-random --n 100 --seed 1
+build complete1000.txt 30 altcycles generate --family complete-random --n 1000 --seed 1
 
 check 10 0 true '*' altcycles check --predicate 2nm-closed "$d/family.txt"
 check 10 0 '35006 lines' '*' altcycles export-dot "$d/family.txt"
@@ -67,4 +68,5 @@ check 10 1 $'false\nwitness pair 0 200' '*' altcycles check --predicate color-co
 check 10 0 true '*' altcycles check --predicate 2m-closed "$d/closure40.txt"
 check 5 2 no-factor '*' altcycles solve "$d/complete1001.txt"
 check 10 0 true '*' altcycles check --predicate closed-alternating "$d/complete100.txt"
+check 10 0 '2 lines' '*' altcycles solve "$d/complete1000.txt"
 exit $failed
