@@ -111,15 +111,25 @@ def closed_alternating_witness(
     """First alternating 3-path (x1, x2, x3, x4) with no closing alternating
     4-cycle (x1, y, w, x4, x1), or None if every one closes.
 
-    Whether a 3-path closes depends on (x1, x4) alone, so each x4 that a
-    3-path from x1 reaches is decided once, and the paths are walked only
-    for an x1 that has an x4 failing to close."""
+    A closing cycle is an alternating 3-path (x1, y, w, x4) with some first
+    color a plus an [x4, x1] edge of the other color. So if E_a holds the
+    ends of x1's 3-paths with first color a, the ends that fail to close are
+    (E_0 | E_1) & ~(E_0 & red[x1] | E_1 & blue[x1]). E_a is read off
+    `_two_steps`, in O(m) mask operations over all x1, and the paths are
+    walked only for an x1 that has an end failing to close."""
     adj = (g.masks(BLUE), g.masks(RED))  # indexed by `color is RED`
+    steps = [_two_steps(adj, a) for a in (0, 1)]
     for x1 in range(g.n):
-        fails = 0
-        for x4 in bits(_three_path_ends(adj, x1)):
-            if not _closes(adj, x1, x4):
-                fails |= 1 << x4
+        reach = []
+        for a, (once, twice) in enumerate(steps):
+            own, e = adj[a][x1], 0
+            for x2 in bits(own):
+                # when x1 is itself a mid of x2, an x4 it leads to needs
+                # another mid, or the path would meet x1 twice
+                e |= once[x2] & ~own | twice[x2] & own if adj[1 - a][x2] >> x1 & 1 else once[x2]
+            reach.append(e & ~(1 << x1))
+        e0, e1 = reach
+        fails = (e0 | e1) & ~(e0 & adj[1][x1] | e1 & adj[0][x1])
         if not fails:
             continue
         for c1 in (0, 1):
@@ -131,33 +141,20 @@ def closed_alternating_witness(
     return None
 
 
-def _three_path_ends(adj: tuple[list[int], list[int]], x1: int) -> int:
-    """Mask of the last vertices x4 of the alternating 3-paths
-    (x1, x2, x3, x4), in O(n) mask operations."""
-    out = 0
-    for c1 in (0, 1):
-        first = adj[c1][x1]
-        mids = 0
-        for x2 in bits(first):
-            mids |= adj[1 - c1][x2]
-        for x3 in bits(mids & ~(1 << x1)):
-            # the x2 that join x1 to x3; when only one does, it is no x4
-            # through x3, since the path would meet it twice
-            via = first & adj[1 - c1][x3]
-            out |= adj[c1][x3] & ~(via if via & (via - 1) == 0 else 0)
-    return out & ~(1 << x1)
-
-
-def _closes(adj: tuple[list[int], list[int]], x1: int, x4: int) -> bool:
-    # some y, w with (x1, y, w, x4, x1) alternating: [x1, y] and [w, x4] in
-    # color a, [y, w] and [x4, x1] in the other
-    ends = 1 << x1 | 1 << x4
-    for a in (0, 1):
-        if adj[1 - a][x4] >> x1 & 1:
-            for y in bits(adj[a][x1] & ~ends):
-                if adj[1 - a][y] & adj[a][x4] & ~ends:
-                    return True
-    return False
+def _two_steps(adj: tuple[list[int], list[int]], a: int) -> tuple[list[int], list[int]]:
+    """Per x2, the x4 != x2 that an edge of color 1 - a to a mid x3 and then
+    an a-edge reach, as two masks: `once`, through at least one mid, and
+    `twice`, through two or more. O(m) mask operations, n²/4 bytes at most."""
+    once, twice, last = [], [], adj[a]
+    for x2, mids in enumerate(adj[1 - a]):
+        o = t = 0
+        for x3 in bits(mids):
+            t |= o & last[x3]
+            o |= last[x3]
+        keep = ~(1 << x2)
+        once.append(o & keep)
+        twice.append(t & keep)
+    return once, twice
 
 
 def is_closed_alternating(g: ColoredMultigraph) -> bool:

@@ -207,6 +207,25 @@ def both_colored_ring(n: int) -> ColoredMultigraph:
     return g
 
 
+def hub_shape(shape: str, n: int, seed: int = 0, extra: int = 0) -> ColoredMultigraph:
+    """An n-vertex graph whose hubs are joined to every other vertex:
+    "star", vertex 0 in both colors; "mixed-star", vertex 0 in blue to the
+    odd vertices and in red to the even ones, as tools/envelope.sh builds
+    it; "k3", vertices 0, 1 and 2 in both colors to each of 3..n-1. Then
+    `extra` random edges, of random colors, drawn from `seed`."""
+    g = ac.empty(n)
+    hubs = 3 if shape == "k3" else 1
+    for u in range(hubs):
+        for v in range(hubs, n):
+            for color in (BLUE, RED) if shape != "mixed-star" else ((RED, BLUE)[v % 2],):
+                g.add_edge(u, v, color)
+    rng = random.Random(seed)
+    for _ in range(extra):
+        u, v = rng.sample(range(n), 2)
+        g.add_edge(u, v, BLUE if rng.getrandbits(1) else RED)
+    return g
+
+
 def gate_gadget(m: int, seed: int, gate_first: bool) -> ColoredMultigraph:
     """`gen_complete(m, seed)` plus a 5-vertex gadget on m..m+4, joined to it
     only by the red edge from m - 1 to the gate a: a-c and a-y in both

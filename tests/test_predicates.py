@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,14 @@ from altcycles.predicates import (
     color_connectivity_witness,
     open_two_paths,
 )
-from conftest import blue_apex, gate_gadget, not_color_connected_graph, ring, small_corpus
+from conftest import (
+    blue_apex,
+    gate_gadget,
+    hub_shape,
+    not_color_connected_graph,
+    ring,
+    small_corpus,
+)
 
 
 def path_graph(*colors):
@@ -110,38 +118,60 @@ def test_closed_alternating():
     assert ac.is_closed_alternating(h)
 
 
-def test_closes_runs_once_per_end_pair(monkeypatch):
-    calls = []
-    real = predicates._closes
-
-    def spy(adj, x1, x4):
-        calls.append((x1, x4))
-        return real(adj, x1, x4)
-
-    monkeypatch.setattr(predicates, "_closes", spy)
-    graphs = [ac.gen_complete(n, n) for n in (6, 12, 20)]
-    graphs += [ac.closure_2m(ac.gen_random(10, s, 0.3), s) for s in range(20)]
-    for g in graphs:
-        calls.clear()
-        closed_alternating_witness(g)
-        assert calls and len(calls) == len(set(calls))
-
-
-def test_three_path_ends_are_exact():
-    """`_three_path_ends` against the ends of every alternating 3-path: a
+def test_two_step_table_is_exact():
+    """`_two_steps` against a count of the mids of every (x2, x4) pair: a
     missing end would lose a witness, an extra one would walk the paths of
     an x1 for nothing. `gen_random` puts both colors on some pairs, so some
-    3-paths would return to their x2, the case the lone-x2 rule drops."""
+    pairs have two mids or more, the `twice` case."""
+    twice_seen = 0
     for seed in range(300):
         g = ac.gen_random(2 + seed % 11, seed, 0.1 + 0.6 * (seed % 5) / 4)
         adj = (g.masks(BLUE), g.masks(RED))
-        for x1 in range(g.n):
-            want = 0
-            for c1 in (0, 1):
-                for x2 in bits(adj[c1][x1]):
-                    for x3 in bits(adj[1 - c1][x2] & ~(1 << x1)):
-                        want |= adj[c1][x3] & ~(1 << x1 | 1 << x2)
-            assert predicates._three_path_ends(adj, x1) == want
+        for a in (0, 1):
+            once, twice = predicates._two_steps(adj, a)
+            for x2 in range(g.n):
+                mids = Counter(
+                    x4 for x3 in bits(adj[1 - a][x2]) for x4 in bits(adj[a][x3]) if x4 != x2
+                )
+                assert once[x2] == sum(1 << x4 for x4 in mids)
+                assert twice[x2] == sum(1 << x4 for x4, k in mids.items() if k >= 2)
+                twice_seen += twice[x2] != 0
+    assert twice_seen > 100
+
+
+def test_closed_alternating_scans_linear_in_edges(monkeypatch):
+    """The closing identity reads the two-step table once per edge and
+    color, where a per-x1 scan of every mid is quadratic on stars and on
+    K_{3,t}: each `bits` yield is one step."""
+    steps = 0
+
+    def counting(mask):
+        nonlocal steps
+        for v in bits(mask):
+            steps += 1
+            yield v
+
+    monkeypatch.setattr(predicates, "bits", counting)
+    graphs = [hub_shape(shape, 500) for shape in ("star", "mixed-star", "k3")]
+    for g in graphs + [ac.gen_complete(200, 1)]:
+        steps = 0
+        assert closed_alternating_witness(g) is None
+        assert steps <= 4 * (g.edge_count() + g.n)
+
+
+def test_two_step_table_memory():
+    """Two masks per vertex and color: about n²/2 bytes on the both-colored
+    K_{3,n-3}, where every `once` and `twice` mask of a vertex past the hubs
+    holds all n - 4 others."""
+    n = 2000
+    g = hub_shape("k3", n)
+    tracemalloc.start()
+    try:
+        assert closed_alternating_witness(g) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * n * n / 2
 
 
 def test_exists_alternating_path_basic():
@@ -572,6 +602,17 @@ def test_mask_scanners_match_set_reference():
             if g.n <= 14:  # the reference's full scan of a closed graph is slow
                 assert closed_alternating_witness(closed) == ref_closed_alternating_witness(ref_adj)
     assert closures == 308
+    # hubs joined to their neighbors in both colors, where an x1 is often
+    # a mid of its own x2; the extra edges give some of them witnesses
+    found = []
+    for shape in ("star", "mixed-star", "k3"):
+        for n in range(4, 12):
+            for extra in range(4):
+                g = hub_shape(shape, n, seed=n, extra=extra)
+                want = ref_closed_alternating_witness(set_adjacency(g))
+                assert closed_alternating_witness(g) == want
+                found.append(want is not None)
+    assert any(found) and not all(found)
 
 
 def test_two_m_scan_on_near_complete_graphs():

@@ -37,6 +37,7 @@ check() {
 build family.txt 10 altcycles generate --family counterexample --k1 2500 --k2 2500
 build star.txt 30 python -c "print('n 10000'); [print(f'e 0 {v} B') for v in range(1, 10000)]"
 build mixed-star.txt 30 python -c "print('n 10000'); [print(f'e 0 {v}', 'RB'[v % 2]) for v in range(1, 10000)]"
+build both-star.txt 30 python -c "print('n 10000'); [print(f'e 0 {v} B\ne 0 {v} R') for v in range(1, 10000)]"
 fixture ring.txt 'both_colored_ring(1200)'
 fixture ring600.txt 'both_colored_ring(600)'
 build cex10.txt 30 altcycles generate --family counterexample --k1 10 --k2 10
@@ -56,6 +57,8 @@ check 10 1 $'false\nwitness 2path 1 0 2' '*' altcycles check --predicate 2m-clos
 check 10 0 true '*' altcycles check --predicate 2nm-closed "$d/star.txt"
 check 10 1 $'false\nwitness 2path 1 0 3' '*' altcycles check --predicate 2m-closed "$d/mixed-star.txt"
 check 10 1 $'false\nwitness 2path 1 0 2' '*' altcycles check --predicate 2nm-closed "$d/mixed-star.txt"
+check 10 0 true '*' altcycles check --predicate closed-alternating "$d/mixed-star.txt"
+check 10 0 true '*' altcycles check --predicate closed-alternating "$d/both-star.txt"
 check 10 0 '600 lines' '*' altcycles factor "$d/ring.txt"
 check 10 0 '1 lines' '*' altcycles factor --min-cycle-len 4 "$d/ring.txt"
 check 10 0 '300 lines' '*' altcycles oracle factor "$d/ring600.txt"

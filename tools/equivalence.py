@@ -16,7 +16,7 @@ and offenders. A graph result is hashed as its text serialization.
 entries whose digests differ or that only one side has, with both sides'
 labels, and exits 1 if there is any.
 
-The corpus, 63,324 entries:
+The corpus, 63,546 entries:
 - planted seeds 0-5999 through `solve_from_factor`, in both cycle orders,
   and through `solve_hamiltonian`;
 - seeds 0-1499 of those through `oracle_hamiltonian`, and `merge_pair`
@@ -51,6 +51,9 @@ The corpus, 63,324 entries:
   through the full `two_m_violations` and `two_nm_violations` lists,
   `is_2m_closed`, `is_2nm_closed` and `closed_alternating_witness`, and
   the `closure_2m(g, s)` of those with n <= 20 through
+  `closed_alternating_witness`;
+- `hub_shape` stars in both colors and mixed, and both-colored K_{3,n-3},
+  for n 4-40, with no extra edges and with 3 from seed n, through
   `closed_alternating_witness`;
 - `closure_2m(gen_random(16, s, 0.1), s)` for s 0-99, the closure
   benchmark's shape;
@@ -169,6 +172,9 @@ def entries(ac, fx):
         yield f"closed-alternating {s}", closed_alternating, (g,)
         if g.n <= 20:
             yield f"closed-alternating closure {s}", closed_alternating, (ac.closure_2m(g, s),)
+    for shape, n, extra in product(("star", "mixed-star", "k3"), range(4, 41), (0, 3)):
+        g = fx.hub_shape(shape, n, n, extra)
+        yield f"closed-alternating {shape} {n} extra {extra}", closed_alternating, (g,)
     for s in range(100):
         yield f"closure-2m {s}", ac.closure_2m, (ac.gen_random(16, s, 0.1), s)
     for first in (ac.BLUE, ac.RED):
