@@ -170,16 +170,16 @@ def exists_alternating_path(
     Colors along an alternating path are forced by the first edge, so the
     search is a DFS over simple paths with the color schedule fixed, on an
     explicit stack, trying neighbors lowest first. Every path it returns
-    enters y by an edge of color `last`, so the search skips a vertex u once
-    every `last`-colored neighbor of y is on the path or is u, unless u's
-    own next edge is `last`-colored and reaches y: no path through that
-    branch ends at y, so the search returns the same paths as one without
-    the rule. When y has no `last`-colored edge, no path ends at y and the
-    rule skips every other vertex, so the answer is None before the first
-    push.
+    enters y by an edge of color `last` from one of y's `last`-colored
+    neighbors, so once all of them are on the path, only a step to y can
+    still finish: at the root and at every push, the new vertex's untried
+    neighbors are then cut to y alone. No path is lost, so the search
+    returns the same paths as one without the rule. When y has no
+    `last`-colored edge, the root keeps only y, so the answer is None
+    before the first push.
 
-    After each backtrack, the first vertex u that passes that rule is also
-    tested by `_walk_reaches`, in O(n) mask operations: u is skipped when no
+    After each backtrack, the next candidate u other than y is also tested
+    by `_walk_reaches`, in O(n) mask operations: u is skipped when no
     alternating walk leaves u by its next color, enters no path vertex and
     not u, and enters y by a `last`-colored edge. A path is such a walk, so
     this check keeps the same paths too. It runs once per backtrack, not per
@@ -203,9 +203,10 @@ def exists_alternating_path(
     ends = adj[want][y]  # the vertices that can precede y
     path = [x]
     on_path = 1 << x
-    # per path vertex, its untried neighbors in the color its next edge needs
-    untried = [adj[need][x] & ~on_path]
-    walk_check = False  # whether the next vertex to pass the rule gets the walk test
+    # per path vertex, its untried neighbors in the color its next edge needs;
+    # once every vertex of `ends` is on the path, only y itself
+    untried = [adj[need][x] & (~on_path if ends & ~on_path else 1 << y)]
+    walk_check = False  # whether the next candidate tried gets the walk test
     pushes = 0
     while untried:
         cand = untried[-1]
@@ -222,8 +223,6 @@ def exists_alternating_path(
             if need == want:
                 return AltPath(tuple(path) + (y,), alternating(first, len(path)))
             continue
-        if not ends & ~(on_path | low) and not (need != want and ends & low):
-            continue
         if walk_check:
             walk_check = False
             if not _walk_reaches(adj, u, not need, on_path | low | 1 << y, ends, want):
@@ -231,7 +230,7 @@ def exists_alternating_path(
         path.append(u)
         on_path |= low
         need = not need
-        untried.append(adj[need][u] & ~on_path)
+        untried.append(adj[need][u] & (~on_path if ends & ~on_path else 1 << y))
         pushes += 1
         if pushes == g.n and not _walk_reaches(adj, x, first is RED, 1 << x | 1 << y, ends, want):
             return None
@@ -288,9 +287,9 @@ def color_connectivity_witness(g: ColoredMultigraph) -> ColorConnectivityWitness
     of every path a search returns is recorded in one table for the call,
     and a query the table answers is True without a search. False comes
     from the module global `exists_alternating_path`: from its search, which
-    skips every branch that can no longer end at y and, after each
-    backtrack, one whose alternating walks cannot reach y, and which stops
-    at its n-th push when no walk from x reaches y.
+    tries only y once every vertex that can precede y is on the path, skips
+    the first candidate after each backtrack when its alternating walks
+    cannot reach y, and stops at its n-th push when no walk from x reaches y.
     Each pair keeps its answers in a four-slot list keyed 2*f + l, f and l
     the indices `color is RED`; only the witness returned gets its table
     keyed by `Color` pairs.

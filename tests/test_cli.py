@@ -86,8 +86,8 @@ def test_check_color_connected_target_without_a_red_edge(capsys, write_graph):
     # vertex 40 is joined to every other vertex in blue only, so no path
     # reaches it in red, and a search for one would walk every alternating
     # path of the complete coloring on the other 40. The pendant joins it to
-    # vertex 1 alone, and the search skips every branch through 1 that
-    # cannot step to 40 next
+    # vertex 1 alone, and once 1 is on the path the search tries 40 alone
+    # next
     for neighbors in (None, (1,)):
         path = write_graph(blue_apex(40, 1, neighbors))
         code, out, err = run(capsys, "check", "--predicate", "color-connected", path)

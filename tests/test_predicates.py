@@ -196,6 +196,19 @@ def test_exists_alternating_path_needs_alternation():
     assert ac.exists_alternating_path(g, 0, 2, BLUE, RED) is not None
 
 
+def small_hub_shapes():
+    """Stars in both colors and mixed, and both-colored K_{3,n-3}, n 4-7, with
+    0-3 extra edges. Without extra edges a leaf y's edges lead to the hubs
+    alone, so a search from a hub, or one ending in a color y lacks, keeps
+    y alone as a candidate from the start vertex on."""
+    return [
+        hub_shape(shape, n, seed=n, extra=extra)
+        for shape in ("star", "mixed-star", "k3")
+        for n in range(4, 8)
+        for extra in range(4)
+    ]
+
+
 def test_path_search_matches_oracle_small():
     # an apex has no red edge, so the `ends` rule alone answers every query
     # into it that ends in red
@@ -205,7 +218,7 @@ def test_path_search_matches_oracle_small():
         for s in (0, 1)
         for neighbors in (None, (1,))
     ]
-    for g in small_corpus(12, sizes=range(2, 7)) + apexes:
+    for g in small_corpus(12, sizes=range(2, 7)) + apexes + small_hub_shapes():
         for x in range(g.n):
             for y in range(x + 1, g.n):
                 for first in (BLUE, RED):
@@ -246,8 +259,8 @@ def test_target_without_an_edge_of_the_last_color_needs_no_search():
     # vertex 40 has blue edges only: no path ends at it in red, and a search
     # for one would walk every alternating path of the complete coloring.
     # The pendant's one edge is blue, to vertex 1, so a path that reaches 40
-    # steps there from 1; the search skips each branch through 1 that does
-    # not, and without that it walks them all
+    # steps there from 1; once 1 is on the path, the search tries 40 alone
+    # next, and without that it walks every branch through 1
     for neighbors in (None, (1,)):
         g = blue_apex(40, 1, neighbors)
         w = color_connectivity_witness(g)
@@ -651,8 +664,8 @@ def test_two_path_scans_on_sparse_graphs_past_64_vertices():
 
 def test_path_search_matches_recursive_reference():
     answers = 0
-    for seed in range(1500):
-        g = ac.gen_random(3 + seed % 10, seed, 0.1 + 0.3 * (seed % 7) / 6)
+    graphs = [ac.gen_random(3 + s % 10, s, 0.1 + 0.3 * (s % 7) / 6) for s in range(1500)]
+    for g in graphs + small_hub_shapes():
         adj = set_adjacency(g)
         for x in range(g.n):
             for y in range(g.n):

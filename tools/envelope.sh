@@ -45,6 +45,7 @@ build cex16.txt 30 altcycles generate --family counterexample --k1 16 --k2 16
 fixture apex.txt 'blue_apex(200, 1)'
 fixture pendant.txt 'blue_apex(200, 1, (1,))'
 fixture gate.txt 'gate_gadget(200, 1, True)'
+fixture both-star400.txt 'hub_shape("star", 400)'
 build closure40.txt 30 altcycles generate --family closure-2m --n 40 --density 0.1 --seed 3
 build complete1001.txt 30 altcycles generate --family complete-random --n 1001 --seed 1
 build complete100.txt 30 altcycles generate --family complete-random --n 100 --seed 1
@@ -68,6 +69,7 @@ check 10 0 true '*' altcycles check --predicate color-connected "$d/cex16.txt"
 check 10 1 $'false\nwitness pair 0 200' '*' altcycles check --predicate color-connected "$d/apex.txt"
 check 10 1 $'false\nwitness pair 0 200' '*' altcycles check --predicate color-connected "$d/pendant.txt"
 check 10 1 $'false\nwitness pair 0 200' '*' altcycles check --predicate color-connected "$d/gate.txt"
+check 10 0 true '*' altcycles check --predicate color-connected "$d/both-star400.txt"
 check 10 0 true '*' altcycles check --predicate 2m-closed "$d/closure40.txt"
 check 5 2 no-factor '*' altcycles solve "$d/complete1001.txt"
 check 10 0 true '*' altcycles check --predicate closed-alternating "$d/complete100.txt"

@@ -16,7 +16,7 @@ and offenders. A graph result is hashed as its text serialization.
 entries whose digests differ or that only one side has, with both sides'
 labels, and exits 1 if there is any.
 
-The corpus, 63,546 entries:
+The corpus, 67,548 entries:
 - planted seeds 0-5999 through `solve_from_factor`, in both cycle orders,
   and through `solve_hamiltonian`;
 - seeds 0-1499 of those through `oracle_hamiltonian`, and `merge_pair`
@@ -54,7 +54,9 @@ The corpus, 63,546 entries:
   `closed_alternating_witness`;
 - `hub_shape` stars in both colors and mixed, and both-colored K_{3,n-3},
   for n 4-40, with no extra edges and with 3 from seed n, through
-  `closed_alternating_witness`;
+  `closed_alternating_witness`, those with n <= 30 through
+  `color_connectivity_witness`, and those with n <= 8 through
+  `exists_alternating_path` on every ordered pair and end color pair;
 - `closure_2m(gen_random(16, s, 0.1), s)` for s 0-99, the closure
   benchmark's shape;
 - the 96 two-square colorings that once raised, in both cycle orders;
@@ -175,6 +177,12 @@ def entries(ac, fx):
     for shape, n, extra in product(("star", "mixed-star", "k3"), range(4, 41), (0, 3)):
         g = fx.hub_shape(shape, n, n, extra)
         yield f"closed-alternating {shape} {n} extra {extra}", closed_alternating, (g,)
+        if n <= 30:
+            yield f"color-connected {shape} {n} extra {extra}", witness, (g,)
+        if n <= 8:
+            for (x, y), first, last in product(permutations(range(n), 2), ac.Color, ac.Color):
+                key = f"{shape} {n} extra {extra} path {x} {y} {first.value}{last.value}"
+                yield key, ac.exists_alternating_path, (g, x, y, first, last)
     for s in range(100):
         yield f"closure-2m {s}", ac.closure_2m, (ac.gen_random(16, s, 0.1), s)
     for first in (ac.BLUE, ac.RED):
