@@ -5,12 +5,14 @@ incident edge is an alternating cycle factor, so a factor is a perfect
 matching of the blue graph together with a perfect matching of the red
 graph (a blue and a red edge on the same pair make a 2-cycle).
 
-Each color is matched first on a bounded-degree spanning subgraph, in which
-every vertex keeps only its first `CAP` edges to higher-numbered neighbours.
-A perfect matching of that subgraph is one of the whole graph, so the factor
-stays exact; all edges of the color are matched only when the subgraph has
-no perfect matching. On dense graphs the subgraph has about half the edges
-or fewer, and networkx's matching time grows with the edge count.
+When some vertex has more than `LONG_ROW` edges of a color to
+higher-numbered neighbours, that color is matched first on a bounded-degree
+spanning subgraph, in which every vertex keeps only its first `CAP` such
+edges. A perfect matching of that subgraph is one of the whole graph, so the
+factor stays exact; all edges of the color are matched only when the
+subgraph has no perfect matching. On dense graphs the subgraph has a small
+fraction of the edges, and networkx's matching time grows with the edge
+count.
 """
 from __future__ import annotations
 
@@ -21,9 +23,12 @@ import networkx as nx
 from .cycles import AltCycle, decode_cycles
 from .graph import BLUE, RED, Color, ColoredMultigraph, bits, reachable
 
-# higher-numbered neighbours per vertex in the first, capped matching; a
-# graph of at most CAP + 1 vertices is never capped
-CAP = 16
+# higher-numbered neighbours per vertex in the first, capped matching
+CAP = 4
+# the capped matching is tried only when some row has more higher-numbered
+# neighbours than this, so a graph of at most LONG_ROW + 1 vertices is never
+# capped
+LONG_ROW = 4 * CAP
 
 
 def maximum_matching(edges: list[tuple[int, int]], n: int) -> list[int | None]:
@@ -79,12 +84,12 @@ def _perfect_matching(
 ) -> list[int] | None:
     """Each vertex's partner in a perfect matching of the edges of `color`,
     less the pairs that `taken` matches; None when there is none. Each
-    vertex's row holds its higher neighbours; the rows capped at `CAP` are
-    matched first, unless the cap would leave every row whole."""
+    vertex's row holds its higher neighbours; when some row is longer than
+    `LONG_ROW`, the rows capped at `CAP` are matched first."""
     rows = [mask >> (u + 1) << (u + 1) for u, mask in enumerate(g.masks(color))]
     if taken is not None:
         rows = [row & ~(1 << v) for row, v in zip(rows, taken)]
-    if any(row.bit_count() > CAP for row in rows):
+    if any(row.bit_count() > LONG_ROW for row in rows):
         capped = [(u, v) for u, row in enumerate(rows) for v in islice(bits(row), CAP)]
         partner = maximum_matching(capped, g.n)
         if None not in partner:

@@ -8,6 +8,7 @@ edge of that color.
 """
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator, Sequence
 from enum import Enum
 
@@ -182,6 +183,44 @@ def reachable(
     return seen
 
 
+# `serialize_text`'s header line, and the start of any later line that is not
+# one of its edge lines; a lookahead per line start, so no backtracking state
+# builds up over the lines
+_HEADER = re.compile(r"n ([0-9]+)\n")
+_NOT_EDGE = re.compile(r"^(?!e [0-9]+ [0-9]+ [BR]$)", re.M)
+
+
+def _parse_serialized(text: str) -> ColoredMultigraph | None:
+    """The graph of a text in `serialize_text`'s form, or None when the text
+    is in another form or names a loop, a vertex out of range or more than
+    MAX_VERTICES vertices."""
+    head = _HEADER.match(text)
+    if (
+        head is None
+        or not text.endswith("\n")
+        or _NOT_EDGE.search(text, head.end(), len(text) - 1)
+    ):
+        return None
+    try:  # int() refuses a decimal longer than its digit limit
+        n = int(head[1])
+        if n > MAX_VERTICES:
+            return None
+        g = ColoredMultigraph(n)
+        blue, red = g._adj
+        tokens = iter(text.split())
+        next(tokens), next(tokens)
+        for _, u, v, letter in zip(tokens, tokens, tokens, tokens):
+            u, v = int(u), int(v)
+            if u == v or u >= n or v >= n:
+                return None
+            masks = red if letter == "R" else blue
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    except ValueError:
+        return None
+    return g
+
+
 def parse_text(text: str) -> ColoredMultigraph:
     """Parse the edge-list format.
 
@@ -189,7 +228,16 @@ def parse_text(text: str) -> ColoredMultigraph:
     '#' starts a comment that runs to the end of its line, blank lines are
     ignored. Only `\n`, `\r\n` and `\r` end a line; other Unicode line
     separators are whitespace inside one.
+
+    A text in `serialize_text`'s own form (the `n` line, then only edge
+    lines, single spaces, each line ended by `\n`) is read in one pass over
+    its tokens. Every other text, and one with a loop, a vertex out of range
+    or more than MAX_VERTICES vertices, is read line by line, and only that
+    reading raises ParseError.
     """
+    g = _parse_serialized(text)
+    if g is not None:
+        return g
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":  # the terminator of the last line starts no line
         lines.pop()

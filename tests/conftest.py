@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import altcycles as ac
-from altcycles import BLUE, RED, AltCycle, Color, ColoredMultigraph
+from altcycles import BLUE, RED, AltCycle, Color, ColoredMultigraph, factor
 from altcycles.cycles import cycle_from_vertex_sequence
 from altcycles.graph import alternating, bits
 
@@ -157,6 +157,16 @@ def complete_coloring(n: int, letters: str) -> ColoredMultigraph:
     for (u, v), letter in zip(combinations(range(n), 2), letters, strict=True):
         g.add_edge(u, v, Color.from_letter(letter))
     return g
+
+
+def has_long_row(g: ColoredMultigraph) -> bool:
+    """Whether some vertex has more than `factor.LONG_ROW` higher neighbours
+    in one color, the trigger of the factor's capped matching."""
+    return any(
+        (mask >> (u + 1)).bit_count() > factor.LONG_ROW
+        for color in (BLUE, RED)
+        for u, mask in enumerate(g.masks(color))
+    )
 
 
 def G8() -> tuple[ColoredMultigraph, list[AltCycle]]:

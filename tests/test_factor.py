@@ -8,7 +8,7 @@ import pytest
 
 import altcycles as ac
 from altcycles import BLUE, RED, factor
-from conftest import complete_coloring, planted_instance, ring
+from conftest import complete_coloring, has_long_row, planted_instance, ring
 
 
 def brute_max_matching_size(edges, nodes):
@@ -217,8 +217,8 @@ def record_matchings(monkeypatch):
 
 
 def test_capped_matching_falls_back_to_the_whole_color(monkeypatch):
-    # blue is K_{20,20} between 0..19 and 20..39: capped at 16 higher
-    # neighbours, the rows of 0..19 stop at 35 and leave 36..39 unmatched;
+    # blue is K_{20,20} between 0..19 and 20..39: capped at 4 higher
+    # neighbours, the rows of 0..19 stop at 23 and leave 24..39 unmatched;
     # red is a perfect matching inside the sides, so no pair is 2-colored
     g = ac.empty(40)
     for u in range(20):
@@ -272,11 +272,7 @@ def test_capped_factor_existence_matches_whole_color_reference():
         want = reference_factor_exists(g, BLUE, True) or reference_factor_exists(g, RED, True)
         assert (f is not None) == want, ac.serialize_text(g)
         assert f is None or (ac.validate_factor(g, f) and all(len(c) > 2 for c in f))
-        capped += any(
-            (mask >> (u + 1)).bit_count() > factor.CAP
-            for color in (BLUE, RED)
-            for u, mask in enumerate(g.masks(color))
-        )
+        capped += has_long_row(g)
     assert capped >= 20
 
 
@@ -286,4 +282,4 @@ def test_dense_factor_matches_capped_subgraphs(monkeypatch):
         g = ac.gen_complete(200, seed)
         f = ac.find_alternating_cycle_factor(g)
         assert f is not None and ac.validate_factor(g, f)
-    assert calls and all(size <= 16 * 200 for size, perfect in calls if perfect)
+    assert calls and all(size <= factor.CAP * 200 for size, perfect in calls if perfect)

@@ -10,11 +10,13 @@ import pytest
 
 import altcycles as ac
 from altcycles.cli import main
+from conftest import has_long_row
 
 GRAPHS = {
     "complete-10-1": lambda: ac.gen_complete(10, 1),
     "complete-12-0": lambda: ac.gen_complete(12, 0),
     "complete-16-0": lambda: ac.gen_complete(16, 0),
+    "complete-40-0": lambda: ac.gen_complete(40, 0),
     "closure-10-1": lambda: ac.closure_2m(ac.gen_random(10, 1, 0.35), 1),
     "closure-12-2": lambda: ac.closure_2m(ac.gen_random(12, 2, 0.3), 2),
     "closure-9-1": lambda: ac.closure_2m(ac.gen_random(9, 1, 0.4), 1),
@@ -42,6 +44,13 @@ GOLDEN = [
      "hamiltonian\n"
      "cycle 5 4 11 3 12 2 13 0 15 1 14 10 7 8 9 6 : "
      "B R B R B R B R B R B R B R B R\n"),
+    ("complete-40-0", "factor", 0,
+     "cycle 0 8 9 16 23 32 30 37 27 33 31 38 26 28 35 29 36 39 34 24 18 20 15 7 14 13 "
+     "25 22 17 12 19 10 4 6 21 11 2 3 1 5 : " + "B R " * 19 + "B R\n"),
+    ("complete-40-0", "solve", 0,
+     "hamiltonian\n"
+     "cycle 0 8 9 16 23 32 30 37 27 33 31 38 26 28 35 29 36 39 34 24 18 20 15 7 14 13 "
+     "25 22 17 12 19 10 4 6 21 11 2 3 1 5 : " + "B R " * 19 + "B R\n"),
     ("closure-10-1", "factor", 0,
      "cycle 0 9 2 7 : B R B R\n"
      "cycle 1 8 : B R\n"
@@ -68,3 +77,8 @@ def test_golden_output(capsys, tmp_path, name, command, code, expected):
     path.write_text(ac.serialize_text(GRAPHS[name]()))
     assert main([command, str(path)]) == code
     assert capsys.readouterr().out == expected
+
+
+def test_a_pinned_graph_takes_the_capped_matching():
+    # no graph of at most LONG_ROW + 1 vertices is capped
+    assert has_long_row(GRAPHS["complete-40-0"]())

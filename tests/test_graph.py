@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import altcycles as ac
-from altcycles import BLUE, RED
+from altcycles import BLUE, RED, graph
 from altcycles.graph import (
     MAX_VERTICES,
     Color,
@@ -146,6 +146,29 @@ def test_mask_memory_at_vertex_limit():
     assert peak < 40 * 2**20
 
 
+def test_serialized_form_memory():
+    # the one-pass reading holds all of the text's tokens at once; its peak
+    # stays within twice that of the line loop on the same edges with
+    # `\r\n` endings (a backtracking regex over the lines would hold a frame
+    # per line, about 1.6 MB here)
+    text = ac.serialize_text(ac.gen_complete(110, 1))
+    crlf = text.replace("\n", "\r\n")
+    assert graph._parse_serialized(text) is not None
+    assert graph._parse_serialized(crlf) is None
+    peaks = []
+    for t in (text, crlf):
+        tracemalloc.start()
+        try:
+            ac.parse_text(t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 2 * peaks[1], peaks
+    # no possessive quantifier or atomic group: Python 3.10's `re` has neither
+    patterns = graph._HEADER.pattern + graph._NOT_EDGE.pattern
+    assert not re.search(r"[*+?}]\+|\(\?>", patterns)
+
+
 def test_parse_error_reports_line():
     with pytest.raises(ParseError) as exc:
         ac.parse_text("n 2\ne 0 1 B\ne 0 1 X\n")
@@ -219,10 +242,40 @@ def ref_parse_text(text):
     return g
 
 
+def canonical_record_text(rng):
+    """`serialize_text` of a random graph; half the texts then get one fault
+    of that form: a loop, an out-of-range vertex, `n` above MAX_VERTICES,
+    leading zeros, `n 0` or no final newline."""
+    n = rng.randint(2, 12)
+    g = ac.empty(n)
+    for _ in range(rng.randint(0, 20)):
+        u, v = rng.sample(range(n), 2)
+        g.add_edge(u, v, rng.choice((BLUE, RED)))
+    lines = ac.serialize_text(g).splitlines(keepends=True)
+    if rng.random() < 0.5:
+        u, at = rng.randrange(n), rng.randint(1, len(lines))
+        fault = rng.choice(("loop", "range", "over", "zeros", "n 0", "end"))
+        if fault == "loop":
+            lines.insert(at, f"e {u} {u} {rng.choice('BR')}\n")
+        elif fault == "range":
+            lines.insert(at, f"e {u} {n + rng.randrange(3)} {rng.choice('BR')}\n")
+        elif fault in ("over", "n 0"):
+            lines[0] = f"n {MAX_VERTICES + 1 if fault == 'over' else 0}\n"
+        elif fault == "zeros":
+            at = rng.randrange(len(lines))
+            lines[at] = re.sub(r" (\d+)", r" 0\1", lines[at], count=1)
+        else:
+            lines[-1] = lines[-1].rstrip("\n")
+    return "".join(lines)
+
+
 def random_record_text(rng):
     """Valid edge-list text with comments, blank lines, tabs, `+1` vertices
     and mixed line endings; half the texts then get one faulty record (or
-    lose their `n` record) at a random place."""
+    lose their `n` record) at a random place. A third of the texts are in
+    `serialize_text`'s form instead, from `canonical_record_text`."""
+    if rng.random() < 1 / 3:
+        return canonical_record_text(rng)
     n = rng.randint(2, 7)
     ws = lambda: rng.choice((" ", "  ", "\t", " \t "))
     filler = ("", " ", "\t", "#", "# e 0 1 B", "  # n 3")
@@ -270,10 +323,18 @@ def random_record_text(rng):
     return text if rng.random() < 0.8 else text.rstrip("\r\n")
 
 
-def test_parse_matches_reference():
+def test_parse_matches_reference(monkeypatch):
+    paths = Counter()
+
+    def bulk(text, read=graph._parse_serialized):
+        g = read(text)
+        paths["line loop" if g is None else "bulk"] += 1
+        return g
+
+    monkeypatch.setattr(graph, "_parse_serialized", bulk)
     rng = random.Random(8)
     outcomes = Counter()
-    for _ in range(4000):
+    for _ in range(6000):
         text = random_record_text(rng)
         try:
             want = ref_parse_text(text)
@@ -288,6 +349,8 @@ def test_parse_matches_reference():
     # a graph and each of the 13 parse errors, in 10 texts or more
     assert len(outcomes) == 14 and min(outcomes.values()) >= 10, outcomes
     assert outcomes["graph"] > 1500
+    # both readings of `parse_text`, each on 500 texts or more
+    assert min(paths["bulk"], paths["line loop"]) >= 500, paths
 
 
 @given(
