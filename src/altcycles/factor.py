@@ -6,36 +6,37 @@ matching of the blue graph together with a perfect matching of the red
 graph (a blue and a red edge on the same pair make a 2-cycle).
 
 When some vertex has more than `LONG_ROW` edges of a color to
-higher-numbered neighbours, that color is matched first on a bounded-degree
-spanning subgraph, in which every vertex keeps only its first `CAP` such
-edges. A perfect matching of that subgraph is one of the whole graph, so the
-factor stays exact; all edges of the color are matched only when the
-subgraph has no perfect matching. On dense graphs the subgraph has a small
-fraction of the edges, and networkx's matching time grows with the edge
-count.
+higher-numbered neighbours, that color is first matched greedily on its bit
+masks, with one-swap repairs (`_greedy_matching`). Any perfect matching of
+the color will do, so a perfect greedy one keeps the factor exact; the
+greedy tier never answers "no", and when it leaves a vertex unmatched, all
+edges of the color go to networkx's blossom matching, which decides. On a
+dense color the greedy matching is perfect or nearly so (Karp and Sipser,
+1981) and costs n mask operations plus one per neighbour of each vertex it
+repairs, where the blossom's time grows with the edge count. A graph of at
+most `LONG_ROW` + 1 vertices has no long row, so every small graph, where
+the blossom is cheap anyway, is matched by networkx alone.
 """
 from __future__ import annotations
-
-from itertools import islice
 
 import networkx as nx
 
 from .cycles import AltCycle, decode_cycles
 from .graph import BLUE, RED, Color, ColoredMultigraph, bits, reachable
 
-# higher-numbered neighbours per vertex in the first, capped matching
-CAP = 4
-# the capped matching is tried only when some row has more higher-numbered
-# neighbours than this, so a graph of at most LONG_ROW + 1 vertices is never
-# capped
-LONG_ROW = 4 * CAP
+# the greedy matching is tried only when some row has more higher-numbered
+# neighbours than this, so a graph of at most LONG_ROW + 1 vertices never
+# takes it
+LONG_ROW = 16
 
 
 def maximum_matching(edges: list[tuple[int, int]], n: int) -> list[int | None]:
     """Each vertex's partner in a maximum-cardinality matching of the plain
     graph on 0..n-1 with these edges, None where unmatched. The edges, u < v
-    and ascending, come from `_perfect_matching`: all edges of one color or
-    its capped subgraph, so every endpoint is in range."""
+    and ascending, come from `_perfect_matching`: all edges of one color,
+    less the pairs it leaves out, so every endpoint is in range. This is the
+    exact tier, run on every color without a long row and wherever the
+    greedy matching fails."""
     h = nx.Graph()
     h.add_nodes_from(range(n))
     h.add_edges_from(edges)
@@ -83,19 +84,52 @@ def _perfect_matching(
     g: ColoredMultigraph, color: Color, taken: list[int] | None
 ) -> list[int] | None:
     """Each vertex's partner in a perfect matching of the edges of `color`,
-    less the pairs that `taken` matches; None when there is none. Each
-    vertex's row holds its higher neighbours; when some row is longer than
-    `LONG_ROW`, the rows capped at `CAP` are matched first."""
-    rows = [mask >> (u + 1) << (u + 1) for u, mask in enumerate(g.masks(color))]
+    less the pairs that `taken` matches; None when there is none. When some
+    vertex has more than `LONG_ROW` higher neighbours, a greedy matching is
+    tried first; the blossom matching on all the edges decides otherwise."""
+    masks = g.masks(color)
     if taken is not None:
-        rows = [row & ~(1 << v) for row, v in zip(rows, taken)]
+        masks = [mask & ~(1 << v) for mask, v in zip(masks, taken)]
+    rows = [mask >> (u + 1) << (u + 1) for u, mask in enumerate(masks)]
     if any(row.bit_count() > LONG_ROW for row in rows):
-        capped = [(u, v) for u, row in enumerate(rows) for v in islice(bits(row), CAP)]
-        partner = maximum_matching(capped, g.n)
-        if None not in partner:
+        partner = _greedy_matching(masks)
+        if partner is not None:
             return partner
     partner = maximum_matching([(u, v) for u, row in enumerate(rows) for v in bits(row)], g.n)
     return None if None in partner else partner
+
+
+def _greedy_matching(masks: list[int]) -> list[int] | None:
+    """A perfect matching of the graph with these neighbour masks, or None
+    when the greedy pass and its repairs leave a vertex unmatched, which
+    does not prove that there is none.
+
+    Each vertex, ascending, still free is matched to its lowest free
+    neighbour. The free vertices left then have no free neighbour, and each
+    in turn is repaired by one swap: a neighbour a, matched to b, where b
+    has a free neighbour w (not u), becomes u-a and b-w. The first vertex
+    with no such swap ends the tier, so each free vertex is visited once."""
+    partner: list[int] = [0] * len(masks)
+    free = (1 << len(masks)) - 1
+    for u, mask in enumerate(masks):
+        spare = mask & free
+        if free >> u & 1 and spare:
+            v = (spare & -spare).bit_length() - 1
+            partner[u], partner[v] = v, u
+            free ^= 1 << u | 1 << v
+    while free:
+        u = (free & -free).bit_length() - 1
+        for a in bits(masks[u]):
+            b = partner[a]
+            spare = masks[b] & free & ~(1 << u)
+            if spare:
+                w = (spare & -spare).bit_length() - 1
+                partner[u], partner[a], partner[b], partner[w] = a, u, w, b
+                free ^= 1 << u | 1 << w
+                break
+        else:
+            return None
+    return partner
 
 
 def _odd_component(g: ColoredMultigraph, color: Color) -> bool:

@@ -161,7 +161,9 @@ def complete_coloring(n: int, letters: str) -> ColoredMultigraph:
 
 def has_long_row(g: ColoredMultigraph) -> bool:
     """Whether some vertex has more than `factor.LONG_ROW` higher neighbours
-    in one color, the trigger of the factor's capped matching."""
+    in one color, the trigger of the factor's greedy matching; no graph of
+    at most `LONG_ROW` + 1 vertices has one, so those are matched by
+    networkx alone."""
     return any(
         (mask >> (u + 1)).bit_count() > factor.LONG_ROW
         for color in (BLUE, RED)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import random
 import tracemalloc
 from itertools import combinations
 
@@ -8,7 +9,13 @@ import pytest
 
 import altcycles as ac
 from altcycles import BLUE, RED, factor
-from conftest import complete_coloring, has_long_row, planted_instance, ring
+from conftest import (
+    bench_pool_graphs,
+    complete_coloring,
+    has_long_row,
+    planted_instance,
+    ring,
+)
 
 
 def brute_max_matching_size(edges, nodes):
@@ -46,22 +53,29 @@ def test_maximum_matching_matches_brute_force():
         assert len(matched) == 2 * brute_max_matching_size(edges, nodes)
 
 
-def test_factor_leaves_little_cyclic_garbage():
-    # networkx's cached views make its graph a reference cycle; whatever of
-    # it outlives the call waits for a full collection
-    g = ac.gen_complete(100, 0)
+def cyclic_garbage(call) -> int:
+    """Bytes that `call` leaves for a full collection to free."""
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
-        ac.find_alternating_cycle_factor(g)
+        call()
         before = tracemalloc.get_traced_memory()[0]
         gc.collect()
-        garbage = before - tracemalloc.get_traced_memory()[0]
+        return before - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert garbage < 350_000
+
+
+def test_factor_leaves_little_cyclic_garbage():
+    # networkx's cached views make its graph a reference cycle; whatever of
+    # it outlives the call waits for a full collection. The dense factor
+    # takes the greedy tier, so networkx is measured on the color's edges
+    g = ac.gen_complete(100, 0)
+    blue = [(u, v) for u, v, c in g.edges() if c is BLUE]
+    assert cyclic_garbage(lambda: ac.find_alternating_cycle_factor(g)) < 350_000
+    assert cyclic_garbage(lambda: factor.maximum_matching(blue, g.n)) < 350_000
 
 
 def test_factor_on_disjoint_rings():
@@ -216,25 +230,31 @@ def record_matchings(monkeypatch):
     return calls
 
 
-def test_capped_matching_falls_back_to_the_whole_color(monkeypatch):
-    # blue is K_{20,20} between 0..19 and 20..39: capped at 4 higher
-    # neighbours, the rows of 0..19 stop at 23 and leave 24..39 unmatched;
-    # red is a perfect matching inside the sides, so no pair is 2-colored
-    g = ac.empty(40)
-    for u in range(20):
-        for v in range(20, 40):
-            g.add_edge(u, v, BLUE)
-    for u in range(0, 40, 2):
-        g.add_edge(u, u + 1, RED)
+def test_greedy_matching_falls_back_to_the_whole_color(monkeypatch):
+    # blue is K_20 on 6..25, which has long rows, plus the path
+    # a b c d e f = 4 0 1 2 3 5: greedy takes 0-1 and 2-3 and leaves the
+    # ends 4 and 5, and 4's one swap (0's mate 1 to a free vertex) is
+    # missing, so blue goes whole to networkx, which finds a-b, c-d, e-f;
+    # red is K_20 on the same vertices plus 0-3, 1-4, 2-5, which greedy
+    # matches perfectly, with or without blue's pairs
+    g = ac.empty(26)
+    for u, v in [(4, 0), (0, 1), (1, 2), (2, 3), (3, 5)]:
+        g.add_edge(u, v, BLUE)
+    for u, v in [(0, 3), (1, 4), (2, 5)]:
+        g.add_edge(u, v, RED)
+    for u, v in combinations(range(6, 26), 2):
+        g.add_edge(u, v, BLUE).add_edge(u, v, RED)
+    assert factor._greedy_matching(g.masks(BLUE)) is None
+    blue_edges = sum(c is BLUE for _, _, c in g.edges())
     calls = record_matchings(monkeypatch)
     f = ac.find_alternating_cycle_factor(g)
     assert f is not None and ac.validate_factor(g, f)
-    assert calls == [(20 * factor.CAP, False), (400, True), (20, True)]
+    assert calls == [(blue_edges, True)]
     calls.clear()
     f = ac.find_factor_without_two_cycles(g)
     assert f is not None and ac.validate_factor(g, f)
     assert all(len(c) > 2 for c in f)
-    assert calls == [(20 * factor.CAP, False), (400, True), (20, True)]
+    assert calls == [(blue_edges, True)]
 
 
 def reference_factor_exists(g, first=BLUE, disjoint=False):
@@ -250,20 +270,24 @@ def reference_factor_exists(g, first=BLUE, disjoint=False):
     return None not in factor.maximum_matching(rest, g.n)
 
 
-def dense_graphs():
-    """Seeded complete colorings of 18-64 vertices, 2-M closures of random
-    graphs of 18-42 vertices (a closure of 64 takes seconds), and planted
-    instances."""
-    for n in range(18, 65, 2):
-        yield ac.gen_complete(n, n)
+def dense_closures():
+    """2-M closures of random graphs of 18-42 vertices (a closure of 64
+    takes seconds) and planted instances."""
     for n in range(18, 43, 4):
         yield ac.closure_2m(ac.gen_random(n, n, (0.3, 0.45, 0.6)[n % 3]), n)
     for seed in range(20):
         yield planted_instance(seed)[0]
 
 
-def test_capped_factor_existence_matches_whole_color_reference():
-    capped = 0
+def dense_graphs():
+    """Seeded complete colorings of 18-64 vertices and `dense_closures`."""
+    for n in range(18, 65, 2):
+        yield ac.gen_complete(n, n)
+    yield from dense_closures()
+
+
+def test_greedy_factor_existence_matches_whole_color_reference():
+    greedy = 0
     for g in dense_graphs():
         f = ac.find_alternating_cycle_factor(g)
         assert (f is not None) == reference_factor_exists(g), ac.serialize_text(g)
@@ -272,14 +296,56 @@ def test_capped_factor_existence_matches_whole_color_reference():
         want = reference_factor_exists(g, BLUE, True) or reference_factor_exists(g, RED, True)
         assert (f is not None) == want, ac.serialize_text(g)
         assert f is None or (ac.validate_factor(g, f) and all(len(c) > 2 for c in f))
-        capped += has_long_row(g)
-    assert capped >= 20
+        greedy += has_long_row(g)
+    assert greedy >= 20
 
 
-def test_dense_factor_matches_capped_subgraphs(monkeypatch):
+def test_dense_factor_makes_no_blossom_call(monkeypatch):
     calls = record_matchings(monkeypatch)
-    for seed in range(2):
-        g = ac.gen_complete(200, seed)
+    dense = bench_pool_graphs("solve-dense", 1) + [ac.gen_complete(200, s) for s in (0, 1)]
+    for g in dense:
         f = ac.find_alternating_cycle_factor(g)
         assert f is not None and ac.validate_factor(g, f)
-    assert calls and all(size <= factor.CAP * 200 for size, perfect in calls if perfect)
+    assert {g.n for g in dense} == {*range(100, 119, 2), 200}
+    assert calls == []
+
+
+def both_colored_complete(n: int, seed: int):
+    """The complete graph on range(n), each pair blue, red or both, both
+    with a probability drawn from 0.1-0.9 per graph; 2-M-closed, since
+    every pair is adjacent."""
+    rng = random.Random(seed)
+    both = rng.uniform(0.1, 0.9)
+    g = ac.empty(n)
+    for u, v in combinations(range(n), 2):
+        if rng.random() < both:
+            g.add_edge(u, v, BLUE).add_edge(u, v, RED)
+        else:
+            g.add_edge(u, v, rng.choice((BLUE, RED)))
+    return g
+
+
+def test_greedy_factors_with_two_cycles_still_solve():
+    # the greedy tier pairs a blue and a red edge on one pair more often
+    # than networkx does, so these factors carry many 2-cycles, which the
+    # merge layer must still join into one cycle
+    two_cycles = greedy = 0
+    for seed in range(24):
+        g = both_colored_complete(20 + 2 * (seed % 30), seed)
+        greedy += has_long_row(g)
+        two_cycles += sum(len(c) == 2 for c in ac.find_alternating_cycle_factor(g))
+        result = ac.solve_hamiltonian(g)
+        assert isinstance(result, ac.HamiltonianCycle), ac.serialize_text(g)
+        assert ac.validate_factor(g, [result.cycle])
+    assert greedy >= 20 and two_cycles >= 24
+
+
+def test_dense_closures_solve_as_their_factors_say():
+    greedy = 0
+    for g in dense_closures():
+        result = ac.solve_hamiltonian(g)
+        greedy += has_long_row(g)
+        assert (result == ac.NoFactor()) != reference_factor_exists(g), ac.serialize_text(g)
+        if isinstance(result, ac.HamiltonianCycle):
+            assert ac.validate_factor(g, [result.cycle])
+    assert greedy >= 5

@@ -45,12 +45,15 @@ GOLDEN = [
      "cycle 5 4 11 3 12 2 13 0 15 1 14 10 7 8 9 6 : "
      "B R B R B R B R B R B R B R B R\n"),
     ("complete-40-0", "factor", 0,
-     "cycle 0 8 9 16 23 32 30 37 27 33 31 38 26 28 35 29 36 39 34 24 18 20 15 7 14 13 "
-     "25 22 17 12 19 10 4 6 21 11 2 3 1 5 : " + "B R " * 19 + "B R\n"),
+     "cycle 0 38 39 1 3 2 : B R B R B R\n"
+     "cycle 4 6 8 10 7 5 35 33 32 34 37 36 : " + "B R " * 5 + "B R\n"
+     "cycle 9 12 13 11 : B R B R\n"
+     "cycle 14 15 17 16 : B R B R\n"
+     "cycle 18 20 21 22 24 30 31 28 27 26 29 25 23 19 : " + "B R " * 6 + "B R\n"),
     ("complete-40-0", "solve", 0,
      "hamiltonian\n"
-     "cycle 0 8 9 16 23 32 30 37 27 33 31 38 26 28 35 29 36 39 34 24 18 20 15 7 14 13 "
-     "25 22 17 12 19 10 4 6 21 11 2 3 1 5 : " + "B R " * 19 + "B R\n"),
+     "cycle 9 18 19 23 25 29 26 27 28 31 30 24 22 21 20 0 2 3 1 39 38 35 5 7 10 8 6 4 36 37 "
+     "34 32 33 16 14 15 17 12 13 11 : " + "B R " * 19 + "B R\n"),
     ("closure-10-1", "factor", 0,
      "cycle 0 9 2 7 : B R B R\n"
      "cycle 1 8 : B R\n"
@@ -79,6 +82,6 @@ def test_golden_output(capsys, tmp_path, name, command, code, expected):
     assert capsys.readouterr().out == expected
 
 
-def test_a_pinned_graph_takes_the_capped_matching():
-    # no graph of at most LONG_ROW + 1 vertices is capped
+def test_a_pinned_graph_takes_the_greedy_matching():
+    # no graph of at most LONG_ROW + 1 vertices takes it
     assert has_long_row(GRAPHS["complete-40-0"]())
